@@ -148,10 +148,10 @@ class _Tracker:
         self.record(value, value > 0.0, location)
 
     def finish(self, claim_id: str, description: str, tol: float | None,
-               notes: list[str] | None = None, skip_note: str | None = None) -> ClaimResult:
+               notes: list[str] | None, skip_note: str) -> ClaimResult:
         if self.pass_count == 0 and self.fail_count == 0:
             return ClaimResult(claim_id, description, "skipped", 0, 0, self.kind, tol,
-                               None, None, [], [skip_note or "no evaluable samples"])
+                               None, None, [], [skip_note])
         status = "pass" if self.fail_count == 0 else "fail"
         return ClaimResult(claim_id, description, status, self.pass_count,
                            self.fail_count, self.kind, tol, self.worst,
@@ -170,9 +170,8 @@ def _admissible_points(grid: ScanGrid) -> list[tuple[float, float]]:
 # identity claims
 # --------------------------------------------------------------------------
 
-def _claim_lemma21(grid: ScanGrid, tol: float) -> ClaimResult:
+def _claim_lemma21(grid: ScanGrid, tol: float, tracker: _Tracker) -> list[str] | None:
     rng = random.Random(20210409)
-    tracker = _Tracker(MAX_ABS_RESIDUAL)
     for _ in range(200):
         a = rng.uniform(0.1, 0.9)
         b = rng.uniform(0.1, 0.9)
@@ -185,12 +184,10 @@ def _claim_lemma21(grid: ScanGrid, tol: float) -> ClaimResult:
         defined = d.H_def(a, b, r)
         rel = abs(defined - closed) / (1.0 + abs(closed))
         tracker.residual(rel, tol, {"a": a, "b": b, "r": r})
-    return tracker.finish("lemma2.1", _DESCRIPTIONS["lemma2.1"], tol)
 
 
-def _claim_lemma23(grid: ScanGrid, tol: float) -> ClaimResult:
+def _claim_lemma23(grid: ScanGrid, tol: float, tracker: _Tracker) -> list[str] | None:
     rng = random.Random(20141105)
-    tracker = _Tracker(MAX_ABS_RESIDUAL)
     for _ in range(100):
         sigma = rng.uniform(1.0, 5.0)
         alpha = rng.uniform(0.0, 3.0)
@@ -206,22 +203,18 @@ def _claim_lemma23(grid: ScanGrid, tol: float) -> ClaimResult:
             z = 1.0 - r ** p
             res = abs(contiguous_residual(sigma, alpha, rho, z))
             tracker.residual(res, tol, {"p": p, "q": q, "r": r})
-    return tracker.finish("lemma2.3", _DESCRIPTIONS["lemma2.3"], tol)
 
 
-def _claim_lemma24(grid: ScanGrid, tol: float) -> ClaimResult:
-    tracker = _Tracker(MAX_ABS_RESIDUAL)
+def _claim_lemma24(grid: ScanGrid, tol: float, tracker: _Tracker) -> list[str] | None:
     for p, q in grid.pq_points():
         at_one = d.H_closed(1.0 / q, 1.0 / p, 1.0)
         tracker.residual(abs(at_one - 1.0), tol, {"p": p, "q": q, "r": 1.0})
         at_zero = d.H_closed(1.0 / q, 1.0 / p, 0.0)
         expected = (1.0 - 1.0 / p) * pi_pq(p, q) / (2.0 * (1.0 + 1.0 / q - 1.0 / p))
         tracker.residual(abs(at_zero - expected), tol, {"p": p, "q": q, "r": 0.0})
-    return tracker.finish("lemma2.4", _DESCRIPTIONS["lemma2.4"], tol)
 
 
-def _claim_prop12(grid: ScanGrid, tol: float) -> ClaimResult:
-    tracker = _Tracker(MAX_ABS_RESIDUAL)
+def _claim_prop12(grid: ScanGrid, tol: float, tracker: _Tracker) -> list[str] | None:
     params = PQParams(2.0, 2.0)
     constants = d.DeltaConstants.for_params(params)
     lower_limit = math.pi / 4.0 - 1.0
@@ -229,15 +222,13 @@ def _claim_prop12(grid: ScanGrid, tol: float) -> ClaimResult:
     tracker.residual(abs(d.delta(params, 1.0) + lower_limit), tol, {"endpoint": 1.0})
     beta1_expected = 2.0 - math.pi / 2.0
     tracker.residual(abs(constants.beta1 - beta1_expected), tol, {"constant": "beta1"})
-    notes = [
+    return [
         f"classical degeneration: delta0 = {_fmt(constants.delta0)} (pi/4 - 1), "
         f"beta1 = {constants.beta1:.7f} = 0.42920 to five decimals",
     ]
-    return tracker.finish("prop1.2", _DESCRIPTIONS["prop1.2"], tol, notes)
 
 
-def _claim_legendre_anchor(grid: ScanGrid, tol: float) -> ClaimResult:
-    tracker = _Tracker(MAX_ABS_RESIDUAL)
+def _claim_legendre_anchor(grid: ScanGrid, tol: float, tracker: _Tracker) -> list[str] | None:
     params = PQParams(2.0, 2.0)
     for i in range(1, 10):
         r = i / 10.0
@@ -245,13 +236,11 @@ def _claim_legendre_anchor(grid: ScanGrid, tol: float) -> ClaimResult:
         res_e = abs(el.E_pq(params, r).value - el.legendre_E_agm(r))
         tracker.residual(res_k, tol, {"quantity": "K", "r": r})
         tracker.residual(res_e, tol, {"quantity": "E", "r": r})
-    notes = ["second-kind value at r=1 equals the gamma-ratio closed form "
-             f"{el.E_pq(params, 1.0).value:.12f} (= 1), not 0 as sometimes stated"]
-    return tracker.finish("legendre.anchor", _DESCRIPTIONS["legendre.anchor"], tol, notes)
+    return ["second-kind value at r=1 equals the gamma-ratio closed form "
+            f"{el.E_pq(params, 1.0).value:.12f} (= 1), not 0 as sometimes stated"]
 
 
-def _claim_euler_coherence(grid: ScanGrid, tol: float) -> ClaimResult:
-    tracker = _Tracker(MAX_ABS_RESIDUAL)
+def _claim_euler_coherence(grid: ScanGrid, tol: float, tracker: _Tracker) -> list[str] | None:
     for p, q in grid.pq_points():
         c = 1.0 - 1.0 / p + 1.0 / q
         for r in grid.r.points():
@@ -262,11 +251,9 @@ def _claim_euler_coherence(grid: ScanGrid, tol: float) -> ClaimResult:
             for tag, args in (("K", first_kind), ("E", second_kind)):
                 res = abs(gauss_2f1(args).value - el.euler_integral_oracle(args).value)
                 tracker.residual(res, tol, {"p": p, "q": q, "r": r, "quantity": tag})
-    return tracker.finish("euler.coherence", _DESCRIPTIONS["euler.coherence"], tol)
 
 
-def _claim_gauss_boundary(grid: ScanGrid, tol: float) -> ClaimResult:
-    tracker = _Tracker(MAX_ABS_RESIDUAL)
+def _claim_gauss_boundary(grid: ScanGrid, tol: float, tracker: _Tracker) -> list[str] | None:
     p_probes = sorted({grid.p.lo, grid.p.points()[len(grid.p.points()) // 2], grid.p.hi})
     q_probes = sorted({grid.q.lo, grid.q.points()[len(grid.q.points()) // 2], grid.q.hi})
     z_ladder = [1.0 - 1e-3, 1.0 - 1e-4, 1.0 - 1e-5, 1.0 - 1e-6]
@@ -284,11 +271,9 @@ def _claim_gauss_boundary(grid: ScanGrid, tol: float) -> ClaimResult:
                 tracker.residual(diffs[-1], tol, location)
                 monotone = all(diffs[i] > diffs[i + 1] for i in range(len(diffs) - 1))
                 tracker.record(diffs[-1], monotone, {**location, "check": "monotone"})
-    return tracker.finish("gauss.boundary", _DESCRIPTIONS["gauss.boundary"], tol)
 
 
-def _claim_gentrig_roundtrip(grid: ScanGrid, tol: float) -> ClaimResult:
-    tracker = _Tracker(MAX_ABS_RESIDUAL)
+def _claim_gentrig_roundtrip(grid: ScanGrid, tol: float, tracker: _Tracker) -> list[str] | None:
     pq_values = (1.2, 1.5, 2.0, 3.0, 5.0)
     for p in pq_values:
         for q in pq_values:
@@ -299,8 +284,7 @@ def _claim_gentrig_roundtrip(grid: ScanGrid, tol: float) -> ClaimResult:
                 tracker.residual(res, tol, {"p": p, "q": q, "x": x})
             endpoint = abs(2.0 * arcsin_pq(params, 1.0) - params.pi_pq)
             tracker.residual(endpoint, tol, {"p": p, "q": q, "check": "endpoint"})
-    notes = [_integrand_convention_note(2.0, 3.0)]
-    return tracker.finish("gentrig.roundtrip", _DESCRIPTIONS["gentrig.roundtrip"], tol, notes)
+    return [_integrand_convention_note(2.0, 3.0)]
 
 
 def _integrand_convention_note(p: float, q: float) -> str:
@@ -324,41 +308,34 @@ def _integrand_convention_note(p: float, q: float) -> str:
     )
 
 
-def _claim_theta_bridge(grid: ScanGrid, tol: float) -> ClaimResult:
-    tracker = _Tracker(MAX_ABS_RESIDUAL)
+def _claim_theta_bridge(grid: ScanGrid, tol: float, tracker: _Tracker) -> list[str] | None:
     for p, q in ((2.0, 3.0), (3.0, 2.0), (2.5, 1.5)):
         params = PQParams(p, q)
         for r in (0.2, 0.5, 0.8):
             theta_val = el.K_theta_integral(params, r).value
             shifted = el.K_pq(params, r ** (q / p)).value
             tracker.residual(abs(theta_val - shifted), tol, {"p": p, "q": q, "r": r})
-    notes = ["theta-form integral carries r**q where the hypergeometric form carries "
-             "r**p; the two agree after the modulus shift r -> r**(q/p)"]
-    return tracker.finish("theta.bridge", _DESCRIPTIONS["theta.bridge"], tol, notes)
+    return ["theta-form integral carries r**q where the hypergeometric form carries "
+            "r**p; the two agree after the modulus shift r -> r**(q/p)"]
 
 
-def _claim_borwein_takeuchi(grid: ScanGrid, tol: float) -> ClaimResult:
-    tracker = _Tracker(MAX_ABS_RESIDUAL)
+def _claim_borwein_takeuchi(grid: ScanGrid, tol: float, tracker: _Tracker) -> list[str] | None:
     for s in (-0.2, 0.0, 0.25):
         for r in (0.3, 0.5, 0.7):
             res = el.takeuchi_bridge_residual(s, r)
             tracker.residual(res, tol, {"s": s, "r": r})
-    return tracker.finish("borwein.takeuchi", _DESCRIPTIONS["borwein.takeuchi"], tol)
 
 
-def _claim_delta_antisymmetry(grid: ScanGrid, tol: float) -> ClaimResult:
-    tracker = _Tracker(MAX_ABS_RESIDUAL)
+def _claim_delta_antisymmetry(grid: ScanGrid, tol: float, tracker: _Tracker) -> list[str] | None:
     for p, q in grid.pq_points():
         params = PQParams(p, q)
         for r in grid.r.points():
             comp = el.Modulus.for_params(params, r).r_comp
             res = abs(d.delta(params, comp) + d.delta(params, r))
             tracker.residual(res, tol, {"p": p, "q": q, "r": r})
-    return tracker.finish("delta.antisymmetry", _DESCRIPTIONS["delta.antisymmetry"], tol)
 
 
-def _claim_delta_routes(grid: ScanGrid, tol: float) -> ClaimResult:
-    tracker = _Tracker(MAX_ABS_RESIDUAL)
+def _claim_delta_routes(grid: ScanGrid, tol: float, tracker: _Tracker) -> list[str] | None:
     for p, q in grid.pq_points():
         params = PQParams(p, q)
         for r in grid.r.points():
@@ -366,12 +343,9 @@ def _claim_delta_routes(grid: ScanGrid, tol: float) -> ClaimResult:
                 continue  # direct route loses digits outside this band
             res = abs(d.delta(params, r) - d.delta_via_elliptic(params, r))
             tracker.residual(res, tol, {"p": p, "q": q, "r": r})
-    return tracker.finish("delta.routes", _DESCRIPTIONS["delta.routes"], tol,
-                          skip_note="no grid r inside the [0.05, 0.95] cross-check band")
 
 
-def _claim_delta_range(grid: ScanGrid, tol: float) -> ClaimResult:
-    tracker = _Tracker(MAX_ABS_RESIDUAL)
+def _claim_delta_range(grid: ScanGrid, tol: float, tracker: _Tracker) -> list[str] | None:
     for p, q in grid.pq_points():
         params = PQParams(p, q)
         constants = d.DeltaConstants.for_params(params)
@@ -380,13 +354,11 @@ def _claim_delta_range(grid: ScanGrid, tol: float) -> ClaimResult:
         high = d.H_closed(a, b, 1.0) - d.H_closed(a, b, 0.0)
         tracker.residual(abs(low - constants.delta0), tol, {"p": p, "q": q, "end": 0.0})
         tracker.residual(abs(high - constants.delta1), tol, {"p": p, "q": q, "end": 1.0})
-    return tracker.finish("delta.range", _DESCRIPTIONS["delta.range"], tol)
 
 
-def _claim_derivatives(grid: ScanGrid, tol: float) -> ClaimResult:
+def _claim_derivatives(grid: ScanGrid, tol: float, tracker: _Tracker) -> list[str] | None:
     # tol applies to the slope check; the curvature check runs at 10x tol,
     # matching the stated 1e-7 / 1e-6 pair when tol is the default.
-    tracker = _Tracker(MAX_ABS_RESIDUAL)
     variant_worst = 0.0
     admissible = _admissible_points(grid)
     h1, h2 = 1e-5, 1e-6
@@ -408,43 +380,34 @@ def _claim_derivatives(grid: ScanGrid, tol: float) -> ClaimResult:
             variant = d.delta_second_sign_variant(params, r)
             variant_worst = max(variant_worst,
                                 abs(variant - fd_curv) / max(abs(fd_curv), 1e-30))
-    notes = [
+    return [
         "analytic termwise curvature (sum of F1 terms, difference of F2 terms) matches "
         "finite differences; the transposed sign pattern (difference of F1, sum of F2) "
         f"deviates from the same probe by up to {_fmt(variant_worst)} relative",
     ]
-    return tracker.finish("derivatives", _DESCRIPTIONS["derivatives"], tol, notes,
-                          skip_note="no admissible (p, q) grid point")
 
 
 # --------------------------------------------------------------------------
 # strictness claims
 # --------------------------------------------------------------------------
 
-def _claim_thm13_monotone(grid: ScanGrid, tol: float) -> ClaimResult:
-    tracker = _Tracker(MIN_MARGIN)
+def _claim_thm13_monotone(grid: ScanGrid, tol: None, tracker: _Tracker) -> list[str] | None:
     for p, q in _admissible_points(grid):
         params = PQParams(p, q)
         values = [d.delta(params, r) for r in grid.r.points()]
         for i in range(len(values) - 1):
             margin = values[i + 1] - values[i]
             tracker.margin(margin, {"p": p, "q": q, "r": grid.r.points()[i + 1]})
-    return tracker.finish("thm1.3.monotone", _DESCRIPTIONS["thm1.3.monotone"], None,
-                          skip_note="inadmissible: no (p, q) grid point satisfies the conditions")
 
 
-def _claim_thm13_convex(grid: ScanGrid, tol: float) -> ClaimResult:
-    tracker = _Tracker(MIN_MARGIN)
+def _claim_thm13_convex(grid: ScanGrid, tol: None, tracker: _Tracker) -> list[str] | None:
     for p, q in _admissible_points(grid):
         params = PQParams(p, q)
         for r in grid.r.points():
             tracker.margin(d.delta_second(params, r), {"p": p, "q": q, "r": r})
-    return tracker.finish("thm1.3.convex", _DESCRIPTIONS["thm1.3.convex"], None,
-                          skip_note="inadmissible: no (p, q) grid point satisfies the conditions")
 
 
-def _claim_thm13_bounds(grid: ScanGrid, tol: float) -> ClaimResult:
-    tracker = _Tracker(MIN_MARGIN)
+def _claim_thm13_bounds(grid: ScanGrid, tol: None, tracker: _Tracker) -> list[str] | None:
     notes: list[str] = []
     admissible = _admissible_points(grid)
     for p, q in admissible:
@@ -467,12 +430,10 @@ def _claim_thm13_bounds(grid: ScanGrid, tol: float) -> ClaimResult:
     if admissible and (2.0, 2.0) in admissible:
         beta1 = d.DeltaConstants.for_params(PQParams(2.0, 2.0)).beta1
         notes.append(f"recorded sharp upper slope at (2, 2): beta1 = {beta1:.7f}")
-    return tracker.finish("thm1.3.bounds", _DESCRIPTIONS["thm1.3.bounds"], None, notes,
-                          skip_note="inadmissible: no (p, q) grid point satisfies the conditions")
+    return notes
 
 
-def _claim_thm14_bounds(grid: ScanGrid, tol: float) -> ClaimResult:
-    tracker = _Tracker(MIN_MARGIN)
+def _claim_thm14_bounds(grid: ScanGrid, tol: None, tracker: _Tracker) -> list[str] | None:
     pair_axis = grid.s if grid.s is not None else DEFAULT_PAIR_AXIS
     r_points = grid.r.points() if grid.s is not None else DEFAULT_PAIR_AXIS.points()
     s_points = pair_axis.points()
@@ -492,71 +453,63 @@ def _claim_thm14_bounds(grid: ScanGrid, tol: float) -> ClaimResult:
                 location = {"p": p, "q": q, "r": r, "s": s}
                 tracker.margin(gap - constants.delta0, {**location, "side": "lower"})
                 tracker.margin(constants.delta1 - gap, {**location, "side": "upper"})
-    return tracker.finish("thm1.4.bounds", _DESCRIPTIONS["thm1.4.bounds"], None,
-                          skip_note="inadmissible: no (p, q) grid point satisfies the conditions")
+
+
+_INADMISSIBLE = "inadmissible: no (p, q) grid point satisfies the conditions"
 
 
 @dataclass(frozen=True)
 class ClaimSpec:
+    """A registered claim. A tolerance of None marks a strictness claim;
+    skip_note is the note of a run with no evaluable samples."""
+
     fn: object
     description: str
     tolerance: float | None
+    skip_note: str = "no evaluable samples"
 
-
-_DESCRIPTIONS = {
-    "lemma2.1": "kernel defining combination equals its closed hypergeometric form "
-                "(200 random samples, normalized residual)",
-    "lemma2.3": "three-term contiguous relation residual vanishes (random sweep plus "
-                "the proof instantiation on the grid)",
-    "lemma2.4": "kernel closed form equals 1 at the right endpoint and the beta-form "
-                "constant at the left endpoint",
-    "prop1.2": "classical p=q=2 degeneration: endpoint limits pi/4-1 and 1-pi/4, "
-               "sharp slope 2-pi/2",
-    "legendre.anchor": "first/second-kind values at p=q=2 match the AGM oracles",
-    "euler.coherence": "series evaluator agrees with the Euler-integral quadrature "
-                       "oracle over the scan grid",
-    "gauss.boundary": "series value approaches the gamma-ratio closed form "
-                      "monotonically as z -> 1",
-    "gentrig.roundtrip": "generalized sine inverts the generalized arcsine; endpoint "
-                         "normalization ties the half period to the beta form",
-    "theta.bridge": "theta-form first-kind integral equals the hypergeometric form at "
-                    "the shifted modulus r**(q/p)",
-    "borwein.takeuchi": "one-parameter and two-parameter families agree through the "
-                        "p = 2/(2s+1) bridge",
-    "delta.antisymmetry": "difference function is antisymmetric under the complement map",
-    "delta.routes": "kernel route and direct first/second-kind route agree on the "
-                    "interior band",
-    "delta.range": "difference-function endpoint limits match the closed-form constants",
-    "derivatives": "closed-form slope and curvature match central finite differences "
-                   "(adjudicates the curvature sign pattern)",
-    "thm1.3.monotone": "difference function strictly increases along r on every "
-                       "admissible grid point",
-    "thm1.3.convex": "curvature strictly positive at every admissible interior sample",
-    "thm1.3.bounds": "strict sharp linear envelope, with monotone sharpness sequences "
-                     "at both ends",
-    "thm1.4.bounds": "product gap lies strictly between the endpoint limits on the "
-                     "pair grid",
-}
 
 CLAIMS: dict[str, ClaimSpec] = {
-    "lemma2.1": ClaimSpec(_claim_lemma21, _DESCRIPTIONS["lemma2.1"], 1e-9),
-    "lemma2.3": ClaimSpec(_claim_lemma23, _DESCRIPTIONS["lemma2.3"], 1e-10),
-    "lemma2.4": ClaimSpec(_claim_lemma24, _DESCRIPTIONS["lemma2.4"], 1e-12),
-    "prop1.2": ClaimSpec(_claim_prop12, _DESCRIPTIONS["prop1.2"], 1e-10),
-    "legendre.anchor": ClaimSpec(_claim_legendre_anchor, _DESCRIPTIONS["legendre.anchor"], 1e-12),
-    "euler.coherence": ClaimSpec(_claim_euler_coherence, _DESCRIPTIONS["euler.coherence"], 1e-9),
-    "gauss.boundary": ClaimSpec(_claim_gauss_boundary, _DESCRIPTIONS["gauss.boundary"], 1e-4),
-    "gentrig.roundtrip": ClaimSpec(_claim_gentrig_roundtrip, _DESCRIPTIONS["gentrig.roundtrip"], 1e-11),
-    "theta.bridge": ClaimSpec(_claim_theta_bridge, _DESCRIPTIONS["theta.bridge"], 1e-7),
-    "borwein.takeuchi": ClaimSpec(_claim_borwein_takeuchi, _DESCRIPTIONS["borwein.takeuchi"], 1e-10),
-    "delta.antisymmetry": ClaimSpec(_claim_delta_antisymmetry, _DESCRIPTIONS["delta.antisymmetry"], 1e-12),
-    "delta.routes": ClaimSpec(_claim_delta_routes, _DESCRIPTIONS["delta.routes"], 1e-9),
-    "delta.range": ClaimSpec(_claim_delta_range, _DESCRIPTIONS["delta.range"], 1e-10),
-    "derivatives": ClaimSpec(_claim_derivatives, _DESCRIPTIONS["derivatives"], 1e-7),
-    "thm1.3.monotone": ClaimSpec(_claim_thm13_monotone, _DESCRIPTIONS["thm1.3.monotone"], None),
-    "thm1.3.convex": ClaimSpec(_claim_thm13_convex, _DESCRIPTIONS["thm1.3.convex"], None),
-    "thm1.3.bounds": ClaimSpec(_claim_thm13_bounds, _DESCRIPTIONS["thm1.3.bounds"], None),
-    "thm1.4.bounds": ClaimSpec(_claim_thm14_bounds, _DESCRIPTIONS["thm1.4.bounds"], None),
+    "lemma2.1": ClaimSpec(_claim_lemma21, "kernel defining combination equals its closed "
+                          "hypergeometric form (200 random samples, normalized residual)", 1e-9),
+    "lemma2.3": ClaimSpec(_claim_lemma23, "three-term contiguous relation residual vanishes "
+                          "(random sweep plus the proof instantiation on the grid)", 1e-10),
+    "lemma2.4": ClaimSpec(_claim_lemma24, "kernel closed form equals 1 at the right endpoint and "
+                          "the beta-form constant at the left endpoint", 1e-12),
+    "prop1.2": ClaimSpec(_claim_prop12, "classical p=q=2 degeneration: endpoint limits pi/4-1 and "
+                         "1-pi/4, sharp slope 2-pi/2", 1e-10),
+    "legendre.anchor": ClaimSpec(_claim_legendre_anchor, "first/second-kind values at p=q=2 match "
+                                 "the AGM oracles", 1e-12),
+    "euler.coherence": ClaimSpec(_claim_euler_coherence, "series evaluator agrees with the "
+                                 "Euler-integral quadrature oracle over the scan grid", 1e-9),
+    "gauss.boundary": ClaimSpec(_claim_gauss_boundary, "series value approaches the gamma-ratio "
+                                "closed form monotonically as z -> 1", 1e-4),
+    "gentrig.roundtrip": ClaimSpec(_claim_gentrig_roundtrip, "generalized sine inverts the "
+                                   "generalized arcsine; endpoint normalization ties the half "
+                                   "period to the beta form", 1e-11),
+    "theta.bridge": ClaimSpec(_claim_theta_bridge, "theta-form first-kind integral equals the "
+                              "hypergeometric form at the shifted modulus r**(q/p)", 1e-7),
+    "borwein.takeuchi": ClaimSpec(_claim_borwein_takeuchi, "one-parameter and two-parameter "
+                                  "families agree through the p = 2/(2s+1) bridge", 1e-10),
+    "delta.antisymmetry": ClaimSpec(_claim_delta_antisymmetry, "difference function is "
+                                    "antisymmetric under the complement map", 1e-12),
+    "delta.routes": ClaimSpec(_claim_delta_routes, "kernel route and direct first/second-kind "
+                              "route agree on the interior band", 1e-9,
+                              skip_note="no grid r inside the [0.05, 0.95] cross-check band"),
+    "delta.range": ClaimSpec(_claim_delta_range, "difference-function endpoint limits match the "
+                             "closed-form constants", 1e-10),
+    "derivatives": ClaimSpec(_claim_derivatives, "closed-form slope and curvature match central "
+                             "finite differences (adjudicates the curvature sign pattern)", 1e-7,
+                             skip_note="no admissible (p, q) grid point"),
+    "thm1.3.monotone": ClaimSpec(_claim_thm13_monotone, "difference function strictly increases "
+                                 "along r on every admissible grid point", None,
+                                 skip_note=_INADMISSIBLE),
+    "thm1.3.convex": ClaimSpec(_claim_thm13_convex, "curvature strictly positive at every "
+                               "admissible interior sample", None, skip_note=_INADMISSIBLE),
+    "thm1.3.bounds": ClaimSpec(_claim_thm13_bounds, "strict sharp linear envelope, with monotone "
+                               "sharpness sequences at both ends", None, skip_note=_INADMISSIBLE),
+    "thm1.4.bounds": ClaimSpec(_claim_thm14_bounds, "product gap lies strictly between the "
+                               "endpoint limits on the pair grid", None, skip_note=_INADMISSIBLE),
 }
 
 
@@ -565,10 +518,12 @@ def run_claim(claim_id: str, grid: ScanGrid, tol: float | None = None) -> ClaimR
     if claim_id not in CLAIMS:
         raise KeyError(claim_id)
     spec = CLAIMS[claim_id]
-    effective = tol if tol is not None else spec.tolerance
-    if effective is None:
-        effective = 0.0  # strictness claims ignore the tolerance argument
-    return spec.fn(grid, effective)
+    strict = spec.tolerance is None
+    # Strictness claims ignore the tolerance override and report none.
+    tolerance = None if strict else (tol if tol is not None else spec.tolerance)
+    tracker = _Tracker(MIN_MARGIN if strict else MAX_ABS_RESIDUAL)
+    notes = spec.fn(grid, tolerance, tracker)
+    return tracker.finish(claim_id, spec.description, tolerance, notes, spec.skip_note)
 
 
 def build_report(claim_ids: list[str], grid: ScanGrid, tol: float | None = None) -> dict:

@@ -205,10 +205,10 @@ def cmd_regions(grid_text: str | None, out_path: str) -> None:
         for p in grid.p.points():
             for q in grid.q.points():
                 cond = delta_mod.condition1(p, q)
-                eps = float(delta_mod.epsilon(Fraction(p), Fraction(q)))
-                adm = delta_mod.admissible(p, q)
+                eps = delta_mod.epsilon(Fraction(p), Fraction(q))
+                adm = cond and eps > 0
                 writer.writerow([_fmt(p), _fmt(q), str(cond).lower(),
-                                 _fmt(eps), str(adm).lower()])
+                                 _fmt(float(eps)), str(adm).lower()])
     click.echo(f"wrote region map to {out_path}")
 
 

@@ -19,6 +19,7 @@ from . import elliptic
 from .gentrig import PQParams, pi_pq
 from .special import (
     METHOD_GAUSS_CLOSED_FORM,
+    METHOD_SERIES,
     DomainError,
     EvalResult,
     HypArgs,
@@ -72,6 +73,12 @@ def _kernel_closed_at_argument(a: float, b: float, x: float) -> EvalResult:
     inner = gauss_2f1(HypArgs(a, 1.0 - b, 2.0 + a - b, x))
     return EvalResult(coefficient * inner.value, abs(coefficient) * inner.err_estimate,
                       inner.method)
+
+
+def _route(*parts: EvalResult) -> str:
+    """Route tag of a value combined from parts: their common tag, else series."""
+    methods = {part.method for part in parts}
+    return methods.pop() if len(methods) == 1 else METHOD_SERIES
 
 
 def _check_kernel_parameters(a: float, b: float) -> None:
@@ -131,9 +138,8 @@ def delta_result(params: PQParams, r: float) -> EvalResult:
     x = r ** params.p
     upper = _kernel_closed_at_argument(params.inv_q, params.inv_p, x)
     lower = _kernel_closed_at_argument(params.inv_q, params.inv_p, 1.0 - x)
-    method = upper.method if upper.method == lower.method else "series"
     return EvalResult(upper.value - lower.value,
-                      upper.err_estimate + lower.err_estimate, method)
+                      upper.err_estimate + lower.err_estimate, _route(upper, lower))
 
 
 def delta(params: PQParams, r: float) -> float:
@@ -181,9 +187,8 @@ def delta_prime_result(params: PQParams, r: float) -> EvalResult:
     fx = gauss_2f1(HypArgs(a1, b1, c1, x))
     fy = gauss_2f1(HypArgs(a1, b1, c1, 1.0 - x))
     scale = constants.eta * r ** (params.p - 1.0)
-    method = fx.method if fx.method == fy.method else "series"
     return EvalResult(scale * (fx.value + fy.value),
-                      scale * (fx.err_estimate + fy.err_estimate), method)
+                      scale * (fx.err_estimate + fy.err_estimate), _route(fx, fy))
 
 
 def delta_prime(params: PQParams, r: float) -> float:
@@ -196,18 +201,26 @@ def delta_prime(params: PQParams, r: float) -> float:
     return delta_prime_result(params, r).value
 
 
-def delta_second_result(params: PQParams, r: float) -> EvalResult:
+def _curvature_terms(
+    params: PQParams, r: float,
+) -> tuple[float, float, EvalResult, EvalResult, EvalResult, EvalResult]:
+    """Inputs shared by both curvature forms: x = r**p, the shift a1*b1/c1,
+    and F1, F2 at x and at 1 - x."""
     if not 0.0 < r < 1.0:
         raise DomainError(f"curvature requires r in (0, 1), got r={r}")
-    constants = DeltaConstants.for_params(params)
     a1, b1, c1 = _derivative_front(params)
-    p = params.p
-    x = r ** p
+    x = r ** params.p
     f1x = gauss_2f1(HypArgs(a1, b1, c1, x))
     f1y = gauss_2f1(HypArgs(a1, b1, c1, 1.0 - x))
     f2x = gauss_2f1(HypArgs(a1 + 1.0, b1 + 1.0, c1 + 1.0, x))
     f2y = gauss_2f1(HypArgs(a1 + 1.0, b1 + 1.0, c1 + 1.0, 1.0 - x))
-    shift = a1 * b1 / c1
+    return x, a1 * b1 / c1, f1x, f1y, f2x, f2y
+
+
+def delta_second_result(params: PQParams, r: float) -> EvalResult:
+    _, shift, f1x, f1y, f2x, f2y = _curvature_terms(params, r)
+    constants = DeltaConstants.for_params(params)
+    p = params.p
     value = constants.eta * (
         (p - 1.0) * r ** (p - 2.0) * (f1x.value + f1y.value)
         + p * r ** (2.0 * p - 2.0) * shift * (f2x.value - f2y.value)
@@ -216,9 +229,7 @@ def delta_second_result(params: PQParams, r: float) -> EvalResult:
         (p - 1.0) * r ** (p - 2.0) * (f1x.err_estimate + f1y.err_estimate)
         + p * r ** (2.0 * p - 2.0) * shift * (f2x.err_estimate + f2y.err_estimate)
     )
-    methods = {f1x.method, f1y.method, f2x.method, f2y.method}
-    method = methods.pop() if len(methods) == 1 else "series"
-    return EvalResult(value, err, method)
+    return EvalResult(value, err, _route(f1x, f1y, f2x, f2y))
 
 
 def delta_second(params: PQParams, r: float) -> float:
@@ -240,19 +251,11 @@ def delta_second_sign_variant(params: PQParams, r: float) -> float:
     points; the finite-difference probe in the verification report records
     which form it supports.
     """
-    if not 0.0 < r < 1.0:
-        raise DomainError(f"curvature requires r in (0, 1), got r={r}")
+    x, shift, f1x, f1y, f2x, f2y = _curvature_terms(params, r)
     constants = DeltaConstants.for_params(params)
-    a1, b1, c1 = _derivative_front(params)
     p = params.p
-    x = r ** p
-    f1x = gauss_2f1(HypArgs(a1, b1, c1, x)).value
-    f1y = gauss_2f1(HypArgs(a1, b1, c1, 1.0 - x)).value
-    f2x = gauss_2f1(HypArgs(a1 + 1.0, b1 + 1.0, c1 + 1.0, x)).value
-    f2y = gauss_2f1(HypArgs(a1 + 1.0, b1 + 1.0, c1 + 1.0, 1.0 - x)).value
-    shift = a1 * b1 / c1
     return constants.eta * r ** (p - 2.0) * (
-        (p - 1.0) * (f1x - f1y) + p * shift * x * (f2x + f2y)
+        (p - 1.0) * (f1x.value - f1y.value) + p * shift * x * (f2x.value + f2y.value)
     )
 
 

@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import integrate as _scipy_integrate
-
 from .gentrig import PQParams, sin_pq
 from .quadrature import integrate as _tanh_sinh_ab
 from .special import (
@@ -64,19 +62,20 @@ def K_pq(params: PQParams, r: float) -> EvalResult:
     if r > K_MODULUS_CAP:
         raise DivergenceError(
             f"first-kind integral diverges as r -> 1; refusing r={r} > {K_MODULUS_CAP}")
-    args = HypArgs(params.inv_q, 1.0 - params.inv_p,
-                   1.0 - params.inv_p + params.inv_q, r ** params.p)
-    inner = gauss_2f1(args)
-    scale = 0.5 * params.pi_pq
-    return EvalResult(scale * inner.value, scale * inner.err_estimate, inner.method)
+    return _complete_integral(params, 1.0 - params.inv_p, r)
 
 
 def E_pq(params: PQParams, r: float) -> EvalResult:
     """Complete integral of the second kind; strictly decreasing, finite at r = 1."""
     if not 0.0 <= r <= 1.0:
         raise DomainError(f"second-kind integral requires r in [0, 1], got r={r}")
-    args = HypArgs(params.inv_q, -params.inv_p,
-                   1.0 - params.inv_p + params.inv_q, r ** params.p)
+    return _complete_integral(params, -params.inv_p, r)
+
+
+def _complete_integral(params: PQParams, b: float, r: float) -> EvalResult:
+    """(pi_pq / 2) * 2F1(1/q, b; 1 - 1/p + 1/q; r**p): b = 1 - 1/p gives the
+    first kind, b = -1/p the second."""
+    args = HypArgs(params.inv_q, b, 1.0 - params.inv_p + params.inv_q, r ** params.p)
     inner = gauss_2f1(args)
     scale = 0.5 * params.pi_pq
     return EvalResult(scale * inner.value, scale * inner.err_estimate, inner.method)
@@ -104,8 +103,11 @@ def euler_integral_oracle(args: HypArgs) -> EvalResult:
         raise DomainError(f"Euler representation requires c > b > 0, got b={b}, c={c}")
     if z == 1.0 and not args.convergent_at_one:
         raise DivergenceError("Euler integral diverges at z=1 when c-a-b <= 0")
+    # Imported here so that importing the package does not load scipy.
+    from scipy import integrate
+
     prefactor = math.exp(ln_gamma(c) - ln_gamma(b) - ln_gamma(c - b))
-    value, abserr = _scipy_integrate.quad(
+    value, abserr = integrate.quad(
         lambda t: (1.0 - z * t) ** (-a), 0.0, 1.0,
         weight="alg", wvar=(b - 1.0, c - b - 1.0),
         epsabs=1e-13, epsrel=1e-12, limit=200,
@@ -170,20 +172,22 @@ def legendre_E_agm(r: float) -> float:
 
 def borwein_K(s: float, r: float) -> float:
     """One-parameter generalized first-kind value 2F1(1/2-s, 1/2+s; 1; r**2)."""
-    if not abs(s) < 0.5:
-        raise DomainError(f"generalized parameter requires |s| < 1/2, got s={s}")
-    if not 0.0 <= r < 1.0:
-        raise DomainError(f"first-kind value requires r in [0, 1), got r={r}")
-    return gauss_2f1(HypArgs(0.5 - s, 0.5 + s, 1.0, r * r)).value
+    return _borwein(0.5 - s, s, r, first_kind=True)
 
 
 def borwein_E(s: float, r: float) -> float:
     """One-parameter generalized second-kind value 2F1(-1/2-s, 1/2+s; 1; r**2)."""
+    return _borwein(-0.5 - s, s, r, first_kind=False)
+
+
+def _borwein(a: float, s: float, r: float, first_kind: bool) -> float:
     if not abs(s) < 0.5:
         raise DomainError(f"generalized parameter requires |s| < 1/2, got s={s}")
-    if not 0.0 <= r <= 1.0:
+    if first_kind and not 0.0 <= r < 1.0:
+        raise DomainError(f"first-kind value requires r in [0, 1), got r={r}")
+    if not first_kind and not 0.0 <= r <= 1.0:
         raise DomainError(f"second-kind value requires r in [0, 1], got r={r}")
-    return gauss_2f1(HypArgs(-0.5 - s, 0.5 + s, 1.0, r * r)).value
+    return gauss_2f1(HypArgs(a, 0.5 + s, 1.0, r * r)).value
 
 
 def takeuchi_bridge_residual(s: float, r: float) -> float:

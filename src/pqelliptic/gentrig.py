@@ -10,7 +10,7 @@ placements, which disagree for p != q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .special import DomainError, beta, inc_beta
 
@@ -25,9 +25,9 @@ class PQParams:
 
     p: float
     q: float
-    inv_p: float = 0.0
-    inv_q: float = 0.0
-    pi_pq: float = 0.0
+    inv_p: float = field(init=False)
+    inv_q: float = field(init=False)
+    pi_pq: float = field(init=False)
 
     def __post_init__(self) -> None:
         if not (self.p > 1.0 and self.q > 1.0):

@@ -11,7 +11,6 @@ concurrently.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 from .quadrature import tanh_sinh_01
@@ -29,12 +28,9 @@ class DivergenceError(ValueError):
 METHOD_SERIES = "series"
 METHOD_EULER_QUADRATURE = "euler_quadrature"
 METHOD_GAUSS_CLOSED_FORM = "gauss_closed_form"
-METHOD_AGM = "agm"
 
-#: Default hard cap on hypergeometric series terms; override with the
-#: PQELLIPTIC_MAX_TERMS environment variable.
-DEFAULT_MAX_TERMS = 20000
-MAX_TERMS_ENV = "PQELLIPTIC_MAX_TERMS"
+#: Hard cap on hypergeometric series terms.
+MAX_TERMS = 20000
 
 #: Above this argument the raw series is not trusted on its own and the
 #: evaluator switches to the Euler-integral quadrature route.
@@ -74,19 +70,6 @@ class EvalResult:
     value: float
     err_estimate: float
     method: str
-
-
-def _max_terms() -> int:
-    raw = os.environ.get(MAX_TERMS_ENV)
-    if raw is None:
-        return DEFAULT_MAX_TERMS
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise DomainError(f"{MAX_TERMS_ENV} must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise DomainError(f"{MAX_TERMS_ENV} must be positive, got {cap}")
-    return cap
 
 
 def ln_gamma(x: float) -> float:
@@ -236,15 +219,14 @@ def gauss_2f1(args: HypArgs) -> EvalResult:
                 f"2F1 diverges at z=1 when c-a-b <= 0 (got c-a-b={c - a - b})")
         value = gauss_value_at_one(a, b, c)
         return EvalResult(value, 8e-16 * abs(value), METHOD_GAUSS_CLOSED_FORM)
-    cap = _max_terms()
     if z <= SERIES_SWITCH:
-        value, err, _ = _series_2f1(a, b, c, z, cap)
+        value, err, _ = _series_2f1(a, b, c, z, MAX_TERMS)
         return EvalResult(value, err, METHOD_SERIES)
     result = _euler_2f1(a, b, c, z)
     if result is not None:
         return result
     # No valid Euler ordering: raw series with the cap raised, tail bound kept.
-    value, err, _ = _series_2f1(a, b, c, z, max(cap, 200000))
+    value, err, _ = _series_2f1(a, b, c, z, max(MAX_TERMS, 200000))
     return EvalResult(value, err, METHOD_SERIES)
 
 

@@ -1,6 +1,8 @@
 """First/second-kind integrals, oracles, and the family bridges."""
 
 import math
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -173,6 +175,14 @@ class TestEulerOracle:
             euler_integral_oracle(HypArgs(0.5, -0.5, 1.0, 0.3))  # b <= 0
         with pytest.raises(DomainError):
             euler_integral_oracle(HypArgs(0.5, 2.0, 1.5, 0.3))  # c <= b
+
+    def test_package_import_leaves_scipy_unloaded(self):
+        # Only this oracle needs scipy, so it imports it on first call.
+        code = ("import sys, pqelliptic; "
+                "print(sorted({'scipy', 'numpy'} & set(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "[]"
 
 
 class TestThetaIntegral:

@@ -20,6 +20,8 @@ class TestParams:
             PQParams(1.0, 2.0)
         with pytest.raises(DomainError):
             PQParams(2.0, 0.9)
+        with pytest.raises(TypeError):
+            PQParams(2.0, 3.0, pi_pq=99.0)  # derived fields are not arguments
 
     def test_cached_constants(self):
         params = PQParams(2.0, 3.0)

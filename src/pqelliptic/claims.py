@@ -10,15 +10,23 @@ are byte-identical.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
+from typing import Iterator
 
 from . import delta_analysis as d
 from . import elliptic as el
 from .gentrig import PQParams, arcsin_pq, pi_pq, sin_pq
 from .quadrature import tanh_sinh_01
-from .special import DomainError, HypArgs, contiguous_residual, gauss_2f1, gauss_value_at_one
+from .special import (
+    DivergenceError,
+    DomainError,
+    contiguous_residual,
+    gauss_2f1,
+    gauss_value_at_one,
+)
 
 MAX_ABS_RESIDUAL = "max_abs_residual"
 MIN_MARGIN = "min_margin"
@@ -64,10 +72,7 @@ class ScanGrid:
         return [(p, q) for p in self.p.points() for q in self.q.points()]
 
     def as_dict(self) -> dict:
-        def axis(a: AxisRange | None):
-            return None if a is None else {"lo": a.lo, "hi": a.hi, "steps": a.steps}
-
-        return {"p": axis(self.p), "q": axis(self.q), "r": axis(self.r), "s": axis(self.s)}
+        return asdict(self)
 
 
 def _check_axis(name: str, axis: AxisRange) -> None:
@@ -89,6 +94,9 @@ DEFAULT_PAIR_AXIS = AxisRange(0.05, 0.95, 20)
 
 @dataclass
 class ClaimResult:
+    """Outcome of one claim: per-sample counts, the worst residual (or
+    smallest margin) with its coordinates, and every failing sample."""
+
     claim_id: str
     description: str
     status: str  # "pass" | "fail" | "skipped"
@@ -101,45 +109,18 @@ class ClaimResult:
     failures: list[dict] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
-    def as_dict(self) -> dict:
-        return {
-            "id": self.claim_id,
-            "description": self.description,
-            "status": self.status,
-            "pass_count": self.pass_count,
-            "fail_count": self.fail_count,
-            "residual_kind": self.residual_kind,
-            "tolerance": self.tolerance,
-            "worst_residual": self.worst_residual,
-            "worst_location": self.worst_location,
-            "failures": self.failures,
-            "notes": self.notes,
-        }
-
-
-class _Tracker:
-    """Accumulates per-sample outcomes, the worst residual/margin, and the
-    coordinates of every failing sample."""
-
-    def __init__(self, kind: str) -> None:
-        self.kind = kind
-        self.pass_count = 0
-        self.fail_count = 0
-        self.worst: float | None = None
-        self.location: dict | None = None
-        self.failures: list[dict] = []
-
     def record(self, value: float, ok: bool, location: dict) -> None:
         if ok:
             self.pass_count += 1
         else:
             self.fail_count += 1
             self.failures.append({"value": value, **location})
-        if self.worst is None or (
-            value > self.worst if self.kind == MAX_ABS_RESIDUAL else value < self.worst
+        if self.worst_residual is None or (
+            value > self.worst_residual if self.residual_kind == MAX_ABS_RESIDUAL
+            else value < self.worst_residual
         ):
-            self.worst = value
-            self.location = dict(location)
+            self.worst_residual = value
+            self.worst_location = dict(location)
 
     def residual(self, value: float, tol: float, location: dict) -> None:
         self.record(value, value < tol, location)
@@ -147,30 +128,29 @@ class _Tracker:
     def margin(self, value: float, location: dict) -> None:
         self.record(value, value > 0.0, location)
 
-    def finish(self, claim_id: str, description: str, tol: float | None,
-               notes: list[str] | None, skip_note: str) -> ClaimResult:
-        if self.pass_count == 0 and self.fail_count == 0:
-            return ClaimResult(claim_id, description, "skipped", 0, 0, self.kind, tol,
-                               None, None, [], [skip_note])
-        status = "pass" if self.fail_count == 0 else "fail"
-        return ClaimResult(claim_id, description, status, self.pass_count,
-                           self.fail_count, self.kind, tol, self.worst,
-                           self.location, self.failures, notes or [])
+    def as_dict(self) -> dict:
+        out = asdict(self)
+        out["id"] = out.pop("claim_id")
+        return out
 
 
 def _fmt(x: float) -> str:
     return f"{x:.6e}"
 
 
-def _admissible_points(grid: ScanGrid) -> list[tuple[float, float]]:
-    return [(p, q) for (p, q) in grid.pq_points() if d.admissible(p, q)]
+def _grid_params(grid: ScanGrid,
+                 admissible_only: bool = False) -> Iterator[tuple[float, float, PQParams]]:
+    """Walk the (p, q) grid in order, yielding (p, q, PQParams(p, q))."""
+    for p, q in grid.pq_points():
+        if not admissible_only or d.admissible(p, q):
+            yield p, q, PQParams(p, q)
 
 
 # --------------------------------------------------------------------------
 # identity claims
 # --------------------------------------------------------------------------
 
-def _claim_lemma21(grid: ScanGrid, tol: float, tracker: _Tracker) -> list[str] | None:
+def _claim_lemma21(grid: ScanGrid, tol: float, result: ClaimResult) -> list[str] | None:
     rng = random.Random(20210409)
     for _ in range(200):
         a = rng.uniform(0.1, 0.9)
@@ -183,10 +163,10 @@ def _claim_lemma21(grid: ScanGrid, tol: float, tracker: _Tracker) -> list[str] |
         closed = d.H_closed(a, b, r)
         defined = d.H_def(a, b, r)
         rel = abs(defined - closed) / (1.0 + abs(closed))
-        tracker.residual(rel, tol, {"a": a, "b": b, "r": r})
+        result.residual(rel, tol, {"a": a, "b": b, "r": r})
 
 
-def _claim_lemma23(grid: ScanGrid, tol: float, tracker: _Tracker) -> list[str] | None:
+def _claim_lemma23(grid: ScanGrid, tol: float, result: ClaimResult) -> list[str] | None:
     rng = random.Random(20141105)
     for _ in range(100):
         sigma = rng.uniform(1.0, 5.0)
@@ -194,86 +174,83 @@ def _claim_lemma23(grid: ScanGrid, tol: float, tracker: _Tracker) -> list[str] |
         rho = rng.uniform(0.0, 3.0)
         z = rng.uniform(0.0, 0.9)
         res = abs(contiguous_residual(sigma, alpha, rho, z))
-        tracker.residual(res, tol, {"sigma": sigma, "alpha": alpha, "rho": rho, "z": z})
-    for p, q in grid.pq_points():
+        result.residual(res, tol, {"sigma": sigma, "alpha": alpha, "rho": rho, "z": z})
+    for p, q, params in _grid_params(grid):
+        alpha, rho, sigma = d._derivative_front(params)
         for r in (0.3, 0.5, 0.7):
-            sigma = 3.0 + 1.0 / q - 1.0 / p
-            alpha = 1.0 + 1.0 / q
-            rho = 2.0 - 1.0 / p
-            z = 1.0 - r ** p
-            res = abs(contiguous_residual(sigma, alpha, rho, z))
-            tracker.residual(res, tol, {"p": p, "q": q, "r": r})
+            res = abs(contiguous_residual(sigma, alpha, rho, 1.0 - r ** p))
+            result.residual(res, tol, {"p": p, "q": q, "r": r})
 
 
-def _claim_lemma24(grid: ScanGrid, tol: float, tracker: _Tracker) -> list[str] | None:
-    for p, q in grid.pq_points():
-        at_one = d.H_closed(1.0 / q, 1.0 / p, 1.0)
-        tracker.residual(abs(at_one - 1.0), tol, {"p": p, "q": q, "r": 1.0})
-        at_zero = d.H_closed(1.0 / q, 1.0 / p, 0.0)
-        expected = (1.0 - 1.0 / p) * pi_pq(p, q) / (2.0 * (1.0 + 1.0 / q - 1.0 / p))
-        tracker.residual(abs(at_zero - expected), tol, {"p": p, "q": q, "r": 0.0})
+def _claim_lemma24(grid: ScanGrid, tol: float, result: ClaimResult) -> list[str] | None:
+    for p, q, params in _grid_params(grid):
+        a, b = params.inv_q, params.inv_p
+        at_one = d.H_closed(a, b, 1.0)
+        result.residual(abs(at_one - 1.0), tol, {"p": p, "q": q, "r": 1.0})
+        at_zero = d.H_closed(a, b, 0.0)
+        expected = (1.0 - b) * params.pi_pq / (2.0 * (1.0 + a - b))
+        result.residual(abs(at_zero - expected), tol, {"p": p, "q": q, "r": 0.0})
 
 
-def _claim_prop12(grid: ScanGrid, tol: float, tracker: _Tracker) -> list[str] | None:
+def _claim_prop12(grid: ScanGrid, tol: float, result: ClaimResult) -> list[str] | None:
     params = PQParams(2.0, 2.0)
     constants = d.DeltaConstants.for_params(params)
     lower_limit = math.pi / 4.0 - 1.0
-    tracker.residual(abs(d.delta(params, 0.0) - lower_limit), tol, {"endpoint": 0.0})
-    tracker.residual(abs(d.delta(params, 1.0) + lower_limit), tol, {"endpoint": 1.0})
+    result.residual(abs(d.delta(params, 0.0) - lower_limit), tol, {"endpoint": 0.0})
+    result.residual(abs(d.delta(params, 1.0) + lower_limit), tol, {"endpoint": 1.0})
     beta1_expected = 2.0 - math.pi / 2.0
-    tracker.residual(abs(constants.beta1 - beta1_expected), tol, {"constant": "beta1"})
+    result.residual(abs(constants.beta1 - beta1_expected), tol, {"constant": "beta1"})
     return [
         f"classical degeneration: delta0 = {_fmt(constants.delta0)} (pi/4 - 1), "
         f"beta1 = {constants.beta1:.7f} = 0.42920 to five decimals",
     ]
 
 
-def _claim_legendre_anchor(grid: ScanGrid, tol: float, tracker: _Tracker) -> list[str] | None:
+def _claim_legendre_anchor(grid: ScanGrid, tol: float, result: ClaimResult) -> list[str] | None:
     params = PQParams(2.0, 2.0)
     for i in range(1, 10):
         r = i / 10.0
         res_k = abs(el.K_pq(params, r).value - el.legendre_K_agm(r))
         res_e = abs(el.E_pq(params, r).value - el.legendre_E_agm(r))
-        tracker.residual(res_k, tol, {"quantity": "K", "r": r})
-        tracker.residual(res_e, tol, {"quantity": "E", "r": r})
+        result.residual(res_k, tol, {"quantity": "K", "r": r})
+        result.residual(res_e, tol, {"quantity": "E", "r": r})
     return ["second-kind value at r=1 equals the gamma-ratio closed form "
             f"{el.E_pq(params, 1.0).value:.12f} (= 1), not 0 as sometimes stated"]
 
 
-def _claim_euler_coherence(grid: ScanGrid, tol: float, tracker: _Tracker) -> list[str] | None:
-    for p, q in grid.pq_points():
-        c = 1.0 - 1.0 / p + 1.0 / q
+def _claim_euler_coherence(grid: ScanGrid, tol: float, result: ClaimResult) -> list[str] | None:
+    for p, q, params in _grid_params(grid):
         for r in grid.r.points():
             z = r ** p
-            first_kind = HypArgs(1.0 / q, 1.0 - 1.0 / p, c, z)
-            # second-kind parameters ordered so the oracle's c > b > 0 holds
-            second_kind = HypArgs(-1.0 / p, 1.0 / q, c, z)
+            first_kind = el._complete_args(params, 1.0 - params.inv_p, z)
+            second_kind = el._complete_args(params, -params.inv_p, z)
+            # a and b swapped (2F1 is symmetric in them): the oracle needs c > b > 0
+            second_kind = replace(second_kind, a=second_kind.b, b=second_kind.a)
             for tag, args in (("K", first_kind), ("E", second_kind)):
                 res = abs(gauss_2f1(args).value - el.euler_integral_oracle(args).value)
-                tracker.residual(res, tol, {"p": p, "q": q, "r": r, "quantity": tag})
+                result.residual(res, tol, {"p": p, "q": q, "r": r, "quantity": tag})
 
 
-def _claim_gauss_boundary(grid: ScanGrid, tol: float, tracker: _Tracker) -> list[str] | None:
+def _claim_gauss_boundary(grid: ScanGrid, tol: float, result: ClaimResult) -> list[str] | None:
     p_probes = sorted({grid.p.lo, grid.p.points()[len(grid.p.points()) // 2], grid.p.hi})
     q_probes = sorted({grid.q.lo, grid.q.points()[len(grid.q.points()) // 2], grid.q.hi})
     z_ladder = [1.0 - 1e-3, 1.0 - 1e-4, 1.0 - 1e-5, 1.0 - 1e-6]
     for p in p_probes:
         for q in q_probes:
-            triples = (
-                (1.0 / q, -1.0 / p, 1.0 - 1.0 / p + 1.0 / q),
-                (1.0 / q, 1.0 - 1.0 / p, 2.0 + 1.0 / q - 1.0 / p),
-            )
-            for a, b, c in triples:
-                limit = gauss_value_at_one(a, b, c)
-                diffs = [abs(gauss_2f1(HypArgs(a, b, c, z)).value - limit)
+            params = PQParams(p, q)
+            # second-kind family and kernel family, both convergent at z = 1
+            for at_one in (el._complete_args(params, -params.inv_p, 1.0),
+                           d._kernel_args(params.inv_q, params.inv_p, 1.0)):
+                limit = gauss_value_at_one(at_one.a, at_one.b, at_one.c)
+                diffs = [abs(gauss_2f1(replace(at_one, z=z)).value - limit)
                          for z in z_ladder]
-                location = {"p": p, "q": q, "a": a, "b": b, "c": c}
-                tracker.residual(diffs[-1], tol, location)
+                location = {"p": p, "q": q, "a": at_one.a, "b": at_one.b, "c": at_one.c}
+                result.residual(diffs[-1], tol, location)
                 monotone = all(diffs[i] > diffs[i + 1] for i in range(len(diffs) - 1))
-                tracker.record(diffs[-1], monotone, {**location, "check": "monotone"})
+                result.record(diffs[-1], monotone, {**location, "check": "monotone"})
 
 
-def _claim_gentrig_roundtrip(grid: ScanGrid, tol: float, tracker: _Tracker) -> list[str] | None:
+def _claim_gentrig_roundtrip(grid: ScanGrid, tol: float, result: ClaimResult) -> list[str] | None:
     pq_values = (1.2, 1.5, 2.0, 3.0, 5.0)
     for p in pq_values:
         for q in pq_values:
@@ -281,9 +258,9 @@ def _claim_gentrig_roundtrip(grid: ScanGrid, tol: float, tracker: _Tracker) -> l
             for k in range(21):
                 x = 0.05 * k
                 res = abs(sin_pq(params, arcsin_pq(params, x)) - x)
-                tracker.residual(res, tol, {"p": p, "q": q, "x": x})
+                result.residual(res, tol, {"p": p, "q": q, "x": x})
             endpoint = abs(2.0 * arcsin_pq(params, 1.0) - params.pi_pq)
-            tracker.residual(endpoint, tol, {"p": p, "q": q, "check": "endpoint"})
+            result.residual(endpoint, tol, {"p": p, "q": q, "check": "endpoint"})
     return [_integrand_convention_note(2.0, 3.0)]
 
 
@@ -308,74 +285,76 @@ def _integrand_convention_note(p: float, q: float) -> str:
     )
 
 
-def _claim_theta_bridge(grid: ScanGrid, tol: float, tracker: _Tracker) -> list[str] | None:
+def _claim_theta_bridge(grid: ScanGrid, tol: float, result: ClaimResult) -> list[str] | None:
     for p, q in ((2.0, 3.0), (3.0, 2.0), (2.5, 1.5)):
         params = PQParams(p, q)
         for r in (0.2, 0.5, 0.8):
             theta_val = el.K_theta_integral(params, r).value
             shifted = el.K_pq(params, r ** (q / p)).value
-            tracker.residual(abs(theta_val - shifted), tol, {"p": p, "q": q, "r": r})
+            result.residual(abs(theta_val - shifted), tol, {"p": p, "q": q, "r": r})
     return ["theta-form integral carries r**q where the hypergeometric form carries "
             "r**p; the two agree after the modulus shift r -> r**(q/p)"]
 
 
-def _claim_borwein_takeuchi(grid: ScanGrid, tol: float, tracker: _Tracker) -> list[str] | None:
+def _claim_borwein_takeuchi(grid: ScanGrid, tol: float, result: ClaimResult) -> list[str] | None:
     for s in (-0.2, 0.0, 0.25):
         for r in (0.3, 0.5, 0.7):
             res = el.takeuchi_bridge_residual(s, r)
-            tracker.residual(res, tol, {"s": s, "r": r})
+            result.residual(res, tol, {"s": s, "r": r})
 
 
-def _claim_delta_antisymmetry(grid: ScanGrid, tol: float, tracker: _Tracker) -> list[str] | None:
-    for p, q in grid.pq_points():
-        params = PQParams(p, q)
+def _claim_delta_antisymmetry(grid: ScanGrid, tol: float, result: ClaimResult) -> list[str] | None:
+    for p, q, params in _grid_params(grid):
         for r in grid.r.points():
             comp = el.Modulus.for_params(params, r).r_comp
             res = abs(d.delta(params, comp) + d.delta(params, r))
-            tracker.residual(res, tol, {"p": p, "q": q, "r": r})
+            result.residual(res, tol, {"p": p, "q": q, "r": r})
 
 
-def _claim_delta_routes(grid: ScanGrid, tol: float, tracker: _Tracker) -> list[str] | None:
-    for p, q in grid.pq_points():
-        params = PQParams(p, q)
-        for r in grid.r.points():
-            if not 0.05 <= r <= 0.95:
-                continue  # direct route loses digits outside this band
-            res = abs(d.delta(params, r) - d.delta_via_elliptic(params, r))
-            tracker.residual(res, tol, {"p": p, "q": q, "r": r})
+def _claim_delta_routes(grid: ScanGrid, tol: float, result: ClaimResult) -> list[str] | None:
+    band = [r for r in grid.r.points() if 0.05 <= r <= 0.95]  # direct route loses digits outside
+    refused: list[str] = []
+    for p, q, params in _grid_params(grid):
+        for r in band:
+            try:
+                direct = d.delta_via_elliptic(params, r)
+            except DivergenceError:  # the complement of a small r can pass the first-kind cap
+                refused.append(f"p={p:g}, q={q:g}, r={r:g}")
+                continue
+            result.residual(abs(d.delta(params, r) - direct), tol, {"p": p, "q": q, "r": r})
+    if refused:
+        return [f"direct route refused {len(refused)} sample(s) past the first-kind modulus "
+                f"cap, first at {refused[0]}"]
 
 
-def _claim_delta_range(grid: ScanGrid, tol: float, tracker: _Tracker) -> list[str] | None:
-    for p, q in grid.pq_points():
-        params = PQParams(p, q)
+def _claim_delta_range(grid: ScanGrid, tol: float, result: ClaimResult) -> list[str] | None:
+    for p, q, params in _grid_params(grid):
         constants = d.DeltaConstants.for_params(params)
         a, b = params.inv_q, params.inv_p
         low = d.H_closed(a, b, 0.0) - d.H_closed(a, b, 1.0)
         high = d.H_closed(a, b, 1.0) - d.H_closed(a, b, 0.0)
-        tracker.residual(abs(low - constants.delta0), tol, {"p": p, "q": q, "end": 0.0})
-        tracker.residual(abs(high - constants.delta1), tol, {"p": p, "q": q, "end": 1.0})
+        result.residual(abs(low - constants.delta0), tol, {"p": p, "q": q, "end": 0.0})
+        result.residual(abs(high - constants.delta1), tol, {"p": p, "q": q, "end": 1.0})
 
 
-def _claim_derivatives(grid: ScanGrid, tol: float, tracker: _Tracker) -> list[str] | None:
+def _claim_derivatives(grid: ScanGrid, tol: float, result: ClaimResult) -> list[str] | None:
     # tol applies to the slope check; the curvature check runs at 10x tol,
     # matching the stated 1e-7 / 1e-6 pair when tol is the default.
     variant_worst = 0.0
-    admissible = _admissible_points(grid)
     h1, h2 = 1e-5, 1e-6
-    for p, q in admissible:
-        params = PQParams(p, q)
+    for p, q, params in _grid_params(grid, admissible_only=True):
         for r in grid.r.points():
             if r - h1 <= 0.0 or r + h1 >= 1.0:
                 continue
             fd_slope = (d.delta(params, r + h1) - d.delta(params, r - h1)) / (2.0 * h1)
             slope = d.delta_prime(params, r)
             rel = abs(slope - fd_slope) / max(abs(slope), 1e-30)
-            tracker.residual(rel, tol, {"p": p, "q": q, "r": r, "order": 1})
+            result.residual(rel, tol, {"p": p, "q": q, "r": r, "order": 1})
 
             fd_curv = (d.delta_prime(params, r + h2) - d.delta_prime(params, r - h2)) / (2.0 * h2)
             curv = d.delta_second(params, r)
             rel2 = abs(curv - fd_curv) / max(abs(curv), 1e-30)
-            tracker.residual(rel2, 10.0 * tol, {"p": p, "q": q, "r": r, "order": 2})
+            result.residual(rel2, 10.0 * tol, {"p": p, "q": q, "r": r, "order": 2})
 
             variant = d.delta_second_sign_variant(params, r)
             variant_worst = max(variant_worst,
@@ -391,68 +370,56 @@ def _claim_derivatives(grid: ScanGrid, tol: float, tracker: _Tracker) -> list[st
 # strictness claims
 # --------------------------------------------------------------------------
 
-def _claim_thm13_monotone(grid: ScanGrid, tol: None, tracker: _Tracker) -> list[str] | None:
-    for p, q in _admissible_points(grid):
-        params = PQParams(p, q)
+def _claim_thm13_monotone(grid: ScanGrid, tol: None, result: ClaimResult) -> list[str] | None:
+    for p, q, params in _grid_params(grid, admissible_only=True):
         values = [d.delta(params, r) for r in grid.r.points()]
         for i in range(len(values) - 1):
             margin = values[i + 1] - values[i]
-            tracker.margin(margin, {"p": p, "q": q, "r": grid.r.points()[i + 1]})
+            result.margin(margin, {"p": p, "q": q, "r": grid.r.points()[i + 1]})
 
 
-def _claim_thm13_convex(grid: ScanGrid, tol: None, tracker: _Tracker) -> list[str] | None:
-    for p, q in _admissible_points(grid):
-        params = PQParams(p, q)
+def _claim_thm13_convex(grid: ScanGrid, tol: None, result: ClaimResult) -> list[str] | None:
+    for p, q, params in _grid_params(grid, admissible_only=True):
         for r in grid.r.points():
-            tracker.margin(d.delta_second(params, r), {"p": p, "q": q, "r": r})
+            result.margin(d.delta_second(params, r), {"p": p, "q": q, "r": r})
 
 
-def _claim_thm13_bounds(grid: ScanGrid, tol: None, tracker: _Tracker) -> list[str] | None:
+def _claim_thm13_bounds(grid: ScanGrid, tol: None, result: ClaimResult) -> list[str] | None:
     notes: list[str] = []
-    admissible = _admissible_points(grid)
-    for p, q in admissible:
-        params = PQParams(p, q)
+    for p, q, params in _grid_params(grid, admissible_only=True):
         constants = d.DeltaConstants.for_params(params)
         for r in grid.r.points():
             value = d.delta(params, r)
             lower, upper = d.sharp_linear_bounds(params, r)
-            tracker.margin(value - lower, {"p": p, "q": q, "r": r, "side": "lower"})
-            tracker.margin(upper - value, {"p": p, "q": q, "r": r, "side": "upper"})
+            result.margin(value - lower, {"p": p, "q": q, "r": r, "side": "lower"})
+            result.margin(upper - value, {"p": p, "q": q, "r": r, "side": "upper"})
         # Sharpness at both ends: the normalized gaps must shrink monotonically.
         low_seq = [(d.delta(params, r) - constants.delta0) / r
                    for r in (1e-2, 1e-3, 1e-4)]
         for i in range(len(low_seq) - 1):
-            tracker.margin(low_seq[i] - low_seq[i + 1],
-                           {"p": p, "q": q, "check": "sharp-at-0", "step": i})
+            result.margin(low_seq[i] - low_seq[i + 1],
+                          {"p": p, "q": q, "check": "sharp-at-0", "step": i})
         up_seq = [constants.delta0 + constants.beta1 * r - d.delta(params, r)
                   for r in (1.0 - 1e-2, 1.0 - 1e-3)]
-        tracker.margin(up_seq[0] - up_seq[1], {"p": p, "q": q, "check": "sharp-at-1"})
-    if admissible and (2.0, 2.0) in admissible:
-        beta1 = d.DeltaConstants.for_params(PQParams(2.0, 2.0)).beta1
-        notes.append(f"recorded sharp upper slope at (2, 2): beta1 = {beta1:.7f}")
+        result.margin(up_seq[0] - up_seq[1], {"p": p, "q": q, "check": "sharp-at-1"})
+        if (p, q) == (2.0, 2.0) and not notes:
+            notes.append(f"recorded sharp upper slope at (2, 2): beta1 = {constants.beta1:.7f}")
     return notes
 
 
-def _claim_thm14_bounds(grid: ScanGrid, tol: None, tracker: _Tracker) -> list[str] | None:
+def _claim_thm14_bounds(grid: ScanGrid, tol: None, result: ClaimResult) -> list[str] | None:
     pair_axis = grid.s if grid.s is not None else DEFAULT_PAIR_AXIS
     r_points = grid.r.points() if grid.s is not None else DEFAULT_PAIR_AXIS.points()
     s_points = pair_axis.points()
-    for p, q in _admissible_points(grid):
-        params = PQParams(p, q)
+    for p, q, params in _grid_params(grid, admissible_only=True):
         constants = d.DeltaConstants.for_params(params)
-        cache: dict[float, float] = {}
-
-        def delta_cached(x: float) -> float:
-            if x not in cache:
-                cache[x] = d.delta(params, x)
-            return cache[x]
-
+        delta_at = functools.cache(functools.partial(d.delta, params))
         for r in r_points:
             for s in s_points:
-                gap = delta_cached(r * s) - delta_cached(r) - delta_cached(s)
+                gap = delta_at(r * s) - delta_at(r) - delta_at(s)
                 location = {"p": p, "q": q, "r": r, "s": s}
-                tracker.margin(gap - constants.delta0, {**location, "side": "lower"})
-                tracker.margin(constants.delta1 - gap, {**location, "side": "upper"})
+                result.margin(gap - constants.delta0, {**location, "side": "lower"})
+                result.margin(constants.delta1 - gap, {**location, "side": "upper"})
 
 
 _INADMISSIBLE = "inadmissible: no (p, q) grid point satisfies the conditions"
@@ -495,7 +462,8 @@ CLAIMS: dict[str, ClaimSpec] = {
                                     "antisymmetric under the complement map", 1e-12),
     "delta.routes": ClaimSpec(_claim_delta_routes, "kernel route and direct first/second-kind "
                               "route agree on the interior band", 1e-9,
-                              skip_note="no grid r inside the [0.05, 0.95] cross-check band"),
+                              skip_note="no grid r inside the [0.05, 0.95] cross-check band "
+                              "where the direct route is evaluable"),
     "delta.range": ClaimSpec(_claim_delta_range, "difference-function endpoint limits match the "
                              "closed-form constants", 1e-10),
     "derivatives": ClaimSpec(_claim_derivatives, "closed-form slope and curvature match central "
@@ -521,9 +489,15 @@ def run_claim(claim_id: str, grid: ScanGrid, tol: float | None = None) -> ClaimR
     strict = spec.tolerance is None
     # Strictness claims ignore the tolerance override and report none.
     tolerance = None if strict else (tol if tol is not None else spec.tolerance)
-    tracker = _Tracker(MIN_MARGIN if strict else MAX_ABS_RESIDUAL)
-    notes = spec.fn(grid, tolerance, tracker)
-    return tracker.finish(claim_id, spec.description, tolerance, notes, spec.skip_note)
+    result = ClaimResult(claim_id, spec.description, "skipped", 0, 0,
+                         MIN_MARGIN if strict else MAX_ABS_RESIDUAL, tolerance, None, None)
+    notes = spec.fn(grid, tolerance, result)
+    if result.pass_count == result.fail_count == 0:
+        result.notes = [spec.skip_note]
+    else:
+        result.status = "pass" if result.fail_count == 0 else "fail"
+        result.notes = notes or []
+    return result
 
 
 def build_report(claim_ids: list[str], grid: ScanGrid, tol: float | None = None) -> dict:

@@ -54,8 +54,9 @@ def _evaluate(quantity: str, params: PQParams, r: float | None) -> EvalResult:
     return dispatch[quantity](params, r)
 
 
-def _parse_grid(text: str | None) -> ScanGrid:
-    """Parse 'p:lo:hi:n,q:lo:hi:n,r:lo:hi:n[,s:lo:hi:n]' with defaults."""
+def _parse_grid(text: str | None, **pins: float | None) -> ScanGrid:
+    """Parse 'p:lo:hi:n,q:lo:hi:n,r:lo:hi:n[,s:lo:hi:n]' with defaults; an axis
+    given a pinned value (p=2.0) holds that single value."""
     axes = {
         "p": claims_mod.DEFAULT_GRID.p,
         "q": claims_mod.DEFAULT_GRID.q,
@@ -74,20 +75,11 @@ def _parse_grid(text: str | None) -> ScanGrid:
             except ValueError as exc:
                 raise click.UsageError(f"bad grid component {chunk!r}: {exc}") from exc
             axes[parts[0]] = AxisRange(lo, hi, steps)
+    for name, value in pins.items():
+        if value is not None:
+            axes[name] = AxisRange(value, value, 1)
     try:
-        return ScanGrid(p=axes["p"], q=axes["q"], r=axes["r"], s=axes["s"])
-    except DomainError as exc:
-        raise click.UsageError(str(exc)) from exc
-
-
-def _point_override(grid: ScanGrid, p: float | None, q: float | None,
-                    r: float | None, s: float | None) -> ScanGrid:
-    def pin(axis: AxisRange | None, value: float | None) -> AxisRange | None:
-        return axis if value is None else AxisRange(value, value, 1)
-
-    try:
-        return ScanGrid(p=pin(grid.p, p), q=pin(grid.q, q),
-                        r=pin(grid.r, r), s=pin(grid.s, s))
+        return ScanGrid(**axes)
     except DomainError as exc:
         raise click.UsageError(str(exc)) from exc
 
@@ -162,7 +154,7 @@ def cmd_verify(claims_text: str | None, grid_text: str | None, p_: float | None,
                q_: float | None, r_: float | None, s_: float | None,
                tol: float | None, out_path: str | None) -> None:
     """Run certification claims over a grid and report pass/fail per claim."""
-    grid = _point_override(_parse_grid(grid_text), p_, q_, r_, s_)
+    grid = _parse_grid(grid_text, p=p_, q=q_, r=r_, s=s_)
     if claims_text:
         claim_ids = [cid.strip() for cid in claims_text.split(",") if cid.strip()]
     else:

@@ -67,10 +67,15 @@ class DeltaConstants:
         return cls(c1=c1, delta0=delta0, delta1=-delta0, eta=eta, beta1=-2.0 * delta0)
 
 
+def _kernel_args(a: float, b: float, x: float) -> HypArgs:
+    """(a, 1 - b; 2 + a - b; x): the 2F1 of the kernel closed form."""
+    return HypArgs(a, 1.0 - b, 2.0 + a - b, x)
+
+
 def _kernel_closed_at_argument(a: float, b: float, x: float) -> EvalResult:
     """Closed form of the kernel H_{a,b} at internal argument x = r**(1/b)."""
     coefficient = (1.0 - b) * pi_pq(1.0 / b, 1.0 / a) / (2.0 * (1.0 + a - b))
-    inner = gauss_2f1(HypArgs(a, 1.0 - b, 2.0 + a - b, x))
+    inner = gauss_2f1(_kernel_args(a, b, x))
     return EvalResult(coefficient * inner.value, abs(coefficient) * inner.err_estimate,
                       inner.method)
 
@@ -259,17 +264,13 @@ def delta_second_sign_variant(params: PQParams, r: float) -> float:
     )
 
 
-def _is_exact(value) -> bool:
-    return isinstance(value, Rational)
-
-
 def epsilon(p, q):
     """Admissibility margin of condition (2): a rational expression in 1/p, 1/q.
 
     Exact for int or Fraction inputs (the result is then a Fraction);
     floats are evaluated in double precision.
     """
-    if _is_exact(p) and _is_exact(q):
+    if isinstance(p, Rational) and isinstance(q, Rational):
         p, q = Fraction(p), Fraction(q)
     return (
         20 - 42 / p + 6 / q + 21 / p ** 2 - 2 / q ** 2 - 20 / (p * q)
@@ -285,21 +286,15 @@ def condition1(p, q) -> bool:
     reproducible: 2 + 1/p + 1/p**2 <= 5/p + 1/q < 3 + 1/p**2.
     """
     p, q = Fraction(p), Fraction(q)
-    _require_pq(p, q)
+    if not (p > 1 and q > 1):
+        raise DomainError(f"admissibility requires p > 1 and q > 1, got p={p}, q={q}")
     middle = 5 / p + 1 / q
     return 2 + 1 / p + 1 / p ** 2 <= middle < 3 + 1 / p ** 2
 
 
 def admissible(p, q) -> bool:
     """Both admissibility conditions: condition1 and epsilon > 0 (strict)."""
-    p, q = Fraction(p), Fraction(q)
-    _require_pq(p, q)
-    return condition1(p, q) and epsilon(p, q) > 0
-
-
-def _require_pq(p, q) -> None:
-    if not (p > 1 and q > 1):
-        raise DomainError(f"admissibility requires p > 1 and q > 1, got p={p}, q={q}")
+    return condition1(p, q) and epsilon(Fraction(p), Fraction(q)) > 0
 
 
 def sharp_linear_bounds(params: PQParams, r: float) -> tuple[float, float]:

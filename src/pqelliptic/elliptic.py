@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .gentrig import PQParams, sin_pq
-from .quadrature import integrate as _tanh_sinh_ab
+from .quadrature import tanh_sinh_01
 from .special import (
     METHOD_EULER_QUADRATURE,
     DivergenceError,
@@ -72,11 +72,15 @@ def E_pq(params: PQParams, r: float) -> EvalResult:
     return _complete_integral(params, -params.inv_p, r)
 
 
+def _complete_args(params: PQParams, b: float, z: float) -> HypArgs:
+    """(1/q, b; 1 - 1/p + 1/q; z): b = 1 - 1/p is the first-kind family,
+    b = -1/p the second."""
+    return HypArgs(params.inv_q, b, 1.0 - params.inv_p + params.inv_q, z)
+
+
 def _complete_integral(params: PQParams, b: float, r: float) -> EvalResult:
-    """(pi_pq / 2) * 2F1(1/q, b; 1 - 1/p + 1/q; r**p): b = 1 - 1/p gives the
-    first kind, b = -1/p the second."""
-    args = HypArgs(params.inv_q, b, 1.0 - params.inv_p + params.inv_q, r ** params.p)
-    inner = gauss_2f1(args)
+    """(pi_pq / 2) * 2F1 of the family selected by b, at z = r**p."""
+    inner = gauss_2f1(_complete_args(params, b, r ** params.p))
     scale = 0.5 * params.pi_pq
     return EvalResult(scale * inner.value, scale * inner.err_estimate, inner.method)
 
@@ -127,14 +131,14 @@ def K_theta_integral(params: PQParams, r: float) -> EvalResult:
         raise DomainError(f"theta integral requires r in [0, 1), got r={r}")
     r_q = r ** params.q
     exponent = params.inv_p - 1.0
+    span = params.half_period
 
-    def integrand(t: float) -> float:
-        s = sin_pq(params, t)
+    def integrand(t: float, tm: float) -> float:
+        s = sin_pq(params, span * t)
         return (1.0 - r_q * s ** params.q) ** exponent
 
-    value, err = _tanh_sinh_ab(integrand, 0.0, params.half_period,
-                               rel_tol=1e-11, max_level=7)
-    return EvalResult(value, err, METHOD_EULER_QUADRATURE)
+    value, err = tanh_sinh_01(integrand, rel_tol=1e-11, max_level=7)
+    return EvalResult(span * value, span * err, METHOD_EULER_QUADRATURE)
 
 
 def _agm_k_and_e(r: float) -> tuple[float, float]:

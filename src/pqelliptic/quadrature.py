@@ -34,7 +34,6 @@ def _contribution(f: Callable[[float, float], float], u: float) -> float:
 def tanh_sinh_01(
     f: Callable[[float, float], float],
     rel_tol: float = 5e-14,
-    abs_tol: float = 0.0,
     max_level: int = 10,
 ) -> tuple[float, float]:
     """Integrate f(t, 1-t) over (0, 1); returns (value, error_estimate).
@@ -60,26 +59,7 @@ def tanh_sinh_01(
         refined = raw * h
         err = abs(refined - estimate)
         estimate = refined
-        if err <= max(abs_tol, rel_tol * abs(estimate)):
+        if err <= rel_tol * abs(estimate):
             break
     return estimate, err
 
-
-def integrate(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    rel_tol: float = 1e-12,
-    abs_tol: float = 0.0,
-    max_level: int = 8,
-) -> tuple[float, float]:
-    """Integrate a plain callable over [a, b] with the same node family."""
-    if not b > a:
-        raise ValueError(f"integrate requires b > a, got [{a}, {b}]")
-    span = b - a
-
-    def mapped(t: float, tm: float) -> float:
-        return f(a + span * t)
-
-    value, err = tanh_sinh_01(mapped, rel_tol=rel_tol, abs_tol=abs_tol, max_level=max_level)
-    return span * value, span * err

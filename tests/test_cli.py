@@ -152,6 +152,54 @@ class TestVerify:
         assert claim["pass_count"] == 40
         assert claim["status"] == "pass"
 
+        result = runner.invoke(main, ["verify", "--claims", "thm1.4.bounds",
+                                      "--p", "2", "--q", "2", "--r", "0.5", "--s", "0.4",
+                                      "--out", str(out)])
+        assert result.exit_code == 0
+        claim = json.loads(out.read_text())["claims"][0]
+        assert claim["pass_count"] == 2  # the single pinned pair, both sides
+        assert claim["status"] == "pass"
+
+    def test_routes_claim_notes_samples_the_direct_route_refuses(self, runner, tmp_path):
+        # At p = 6 the complement of r = 0.05 lies past the first-kind cap.
+        out = tmp_path / "report.json"
+        result = runner.invoke(main, ["verify", "--claims", "delta.routes",
+                                      "--p", "6", "--q", "2", "--out", str(out)])
+        assert result.exit_code == 0
+        claim = json.loads(out.read_text())["claims"][0]
+        assert claim["status"] == "pass"
+        assert claim["pass_count"] == 18
+        assert claim["notes"] == ["direct route refused 1 sample(s) past the first-kind "
+                                  "modulus cap, first at p=6, q=2, r=0.05"]
+
+    def test_report_schema(self, runner, tmp_path):
+        # The layout documented under "Verification report JSON" in README.md.
+        out = tmp_path / "report.json"
+        runner.invoke(main, ["verify", "--claims", "prop1.2,thm1.3.convex",
+                             "--p", "1.2", "--q", "2", "--out", str(out)])
+        report = json.loads(out.read_text())
+        assert set(report) == {"grid", "tolerance_override", "claims", "all_pass"}
+        assert report["grid"] == {"p": {"lo": 1.2, "hi": 1.2, "steps": 1},
+                                  "q": {"lo": 2.0, "hi": 2.0, "steps": 1},
+                                  "r": {"lo": 0.05, "hi": 0.95, "steps": 19},
+                                  "s": None}
+        assert report["tolerance_override"] is None
+        assert report["all_pass"] is True
+        keys = {"id", "description", "status", "pass_count", "fail_count", "residual_kind",
+                "tolerance", "worst_residual", "worst_location", "failures", "notes"}
+        passed, skipped = report["claims"]
+        assert set(passed) == keys and set(skipped) == keys
+        assert (passed["id"], passed["status"]) == ("prop1.2", "pass")
+        assert passed["residual_kind"] == "max_abs_residual"
+        assert passed["tolerance"] == 1e-10
+        assert passed["worst_location"] is not None
+        assert (skipped["id"], skipped["status"]) == ("thm1.3.convex", "skipped")
+        assert skipped["residual_kind"] == "min_margin"
+        assert skipped["tolerance"] is None
+        assert skipped["pass_count"] == skipped["fail_count"] == 0
+        assert skipped["worst_residual"] is None and skipped["worst_location"] is None
+        assert skipped["failures"] == []
+
     def test_byte_identical_reports(self, runner, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
         args = ["verify", "--claims", "lemma2.4,prop1.2,delta.range",

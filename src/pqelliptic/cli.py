@@ -121,16 +121,14 @@ def cmd_scan(grid_text: str | None, quantity: str, out_path: str) -> None:
     """
     grid = _parse_grid(grid_text)
     rows: list[list[str]] = []
-    for p in grid.p.points():
-        for q in grid.q.points():
-            params = PQParams(p, q)
-            for r in grid.r.points():
-                try:
-                    result = _evaluate(quantity, params, r)
-                    rows.append([_fmt(p), _fmt(q), _fmt(r), _fmt(result.value),
-                                 _fmt(result.err_estimate), result.method, ""])
-                except (DomainError, DivergenceError) as exc:
-                    rows.append([_fmt(p), _fmt(q), _fmt(r), "nan", "nan", "", str(exc)])
+    for p, q, params in claims_mod._grid_params(grid):
+        for r in grid.r.points():
+            try:
+                result = _evaluate(quantity, params, r)
+                rows.append([_fmt(p), _fmt(q), _fmt(r), _fmt(result.value),
+                             _fmt(result.err_estimate), result.method, ""])
+            except (DomainError, DivergenceError) as exc:
+                rows.append([_fmt(p), _fmt(q), _fmt(r), "nan", "nan", "", str(exc)])
     with open(out_path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["p", "q", "r", "value", "err_estimate", "method", "note"])
@@ -194,13 +192,12 @@ def cmd_regions(grid_text: str | None, out_path: str) -> None:
     with open(out_path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["p", "q", "cond1", "epsilon", "admissible"])
-        for p in grid.p.points():
-            for q in grid.q.points():
-                cond = delta_mod.condition1(p, q)
-                eps = delta_mod.epsilon(Fraction(p), Fraction(q))
-                adm = cond and eps > 0
-                writer.writerow([_fmt(p), _fmt(q), str(cond).lower(),
-                                 _fmt(float(eps)), str(adm).lower()])
+        for p, q in grid.pq_points():
+            cond = delta_mod.condition1(p, q)
+            eps = delta_mod.epsilon(Fraction(p), Fraction(q))
+            adm = cond and eps > 0
+            writer.writerow([_fmt(p), _fmt(q), str(cond).lower(),
+                             _fmt(float(eps)), str(adm).lower()])
     click.echo(f"wrote region map to {out_path}")
 
 

@@ -19,7 +19,6 @@ from . import elliptic
 from .gentrig import PQParams, pi_pq
 from .special import (
     METHOD_GAUSS_CLOSED_FORM,
-    METHOD_SERIES,
     DomainError,
     EvalResult,
     HypArgs,
@@ -81,9 +80,8 @@ def _kernel_closed_at_argument(a: float, b: float, x: float) -> EvalResult:
 
 
 def _route(*parts: EvalResult) -> str:
-    """Route tag of a value combined from parts: their common tag, else series."""
-    methods = {part.method for part in parts}
-    return methods.pop() if len(methods) == 1 else METHOD_SERIES
+    """Route tag of a value combined from parts: their distinct tags, sorted, joined by +."""
+    return "+".join(sorted({part.method for part in parts}))
 
 
 def _check_kernel_parameters(a: float, b: float) -> None:

@@ -30,7 +30,7 @@ METHOD_EULER_QUADRATURE = "euler_quadrature"
 METHOD_GAUSS_CLOSED_FORM = "gauss_closed_form"
 
 #: Hard cap on hypergeometric series terms.
-MAX_TERMS = 20000
+MAX_TERMS = 200_000
 
 #: Above this argument the raw series is not trusted on its own and the
 #: evaluator switches to the Euler-integral quadrature route.
@@ -43,8 +43,9 @@ _SERIES_TOL = 1e-16
 class HypArgs:
     """Parameter/argument bundle (a, b; c; z) for the hypergeometric series.
 
-    c must not be a non-positive integer (poles of the coefficients) and z
-    is restricted to [0, 1]; z = 1 is only evaluable when c - a - b > 0.
+    a, b and c must be finite, c must not be a non-positive integer (poles
+    of the coefficients) and z is restricted to [0, 1]; z = 1 is only
+    evaluable when c - a - b > 0.
     """
 
     a: float
@@ -53,6 +54,9 @@ class HypArgs:
     z: float
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.a, self.b, self.c))):
+            raise DomainError(
+                f"a, b and c must be finite, got a={self.a}, b={self.b}, c={self.c}")
         if self.c <= 0 and self.c == math.floor(self.c):
             raise DomainError(f"c must not be a non-positive integer, got c={self.c}")
         if not 0.0 <= self.z <= 1.0:
@@ -86,58 +90,6 @@ def beta(a: float, b: float) -> float:
     return math.exp(ln_gamma(a) + ln_gamma(b) - ln_gamma(a + b))
 
 
-def _beta_cont_frac(a: float, b: float, x: float) -> float:
-    """Continued fraction for the regularized incomplete beta (modified Lentz)."""
-    tiny = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, 400):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            return h
-    raise DomainError(f"incomplete beta continued fraction failed for a={a}, b={b}, x={x}")
-
-
-def _reg_inc_beta(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b), split at the standard pivot."""
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    ln_front = (
-        ln_gamma(a + b) - ln_gamma(a) - ln_gamma(b)
-        + a * math.log(x) + b * math.log1p(-x)
-    )
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_cont_frac(a, b, x) / a
-    return 1.0 - front * _beta_cont_frac(b, a, 1.0 - x) / b
-
-
 def inc_beta(z: float, a: float, b: float) -> float:
     """Unregularized incomplete beta B(z; a, b) = integral of t^(a-1)(1-t)^(b-1) on [0, z].
 
@@ -155,10 +107,19 @@ def inc_beta(z: float, a: float, b: float) -> float:
     full = beta(a, b)
     if z == 1.0:
         return full
-    return _reg_inc_beta(a, b, z) * full
+    # B(z; a, b) = z^a / a * 2F1(a, 1 - b; a + 1; z) (DLMF 8.17.8). Past the pivot
+    # the complement converges faster; its argument stays under 2/3 as b <= 1.
+    # Below it the series hits the term cap only for large a, as the pivot nears 1.
+    if z < (a + 1.0) / (a + b + 2.0):
+        value, _, converged = _series_2f1(a, 1.0 - b, a + 1.0, z)
+        if not converged:
+            raise DomainError(f"incomplete beta series did not converge for a={a}, b={b}, z={z}")
+        return z ** a / a * value
+    w = 1.0 - z
+    return full - w ** b / b * _series_2f1(b, 1.0 - a, b + 1.0, w)[0]
 
 
-def _series_2f1(a: float, b: float, c: float, z: float, max_terms: int) -> tuple[float, float, bool]:
+def _series_2f1(a: float, b: float, c: float, z: float) -> tuple[float, float, bool]:
     """Direct power series with running-ratio term recurrence.
 
     Returns (value, err_estimate, converged). The error estimate is the
@@ -168,7 +129,7 @@ def _series_2f1(a: float, b: float, c: float, z: float, max_terms: int) -> tuple
     term = 1.0
     total = 1.0
     n = 0
-    while n < max_terms:
+    while n < MAX_TERMS:
         new = term * (a + n) * (b + n) * z / ((c + n) * (n + 1.0))
         total += new
         n += 1
@@ -209,8 +170,9 @@ def gauss_2f1(args: HypArgs) -> EvalResult:
     """Gauss hypergeometric function on [0, 1] with an error estimate.
 
     Series with tail-bound stopping up to z = 0.9; the Euler-integral
-    quadrature route above that; the gamma-ratio closed form exactly at
-    z = 1 (which requires c - a - b > 0).
+    quadrature route above that, or the series up to MAX_TERMS when no
+    Euler ordering is valid; the gamma-ratio closed form exactly at z = 1
+    (which requires c - a - b > 0).
     """
     a, b, c, z = args.a, args.b, args.c, args.z
     if z == 1.0:
@@ -219,14 +181,11 @@ def gauss_2f1(args: HypArgs) -> EvalResult:
                 f"2F1 diverges at z=1 when c-a-b <= 0 (got c-a-b={c - a - b})")
         value = gauss_value_at_one(a, b, c)
         return EvalResult(value, 8e-16 * abs(value), METHOD_GAUSS_CLOSED_FORM)
-    if z <= SERIES_SWITCH:
-        value, err, _ = _series_2f1(a, b, c, z, MAX_TERMS)
-        return EvalResult(value, err, METHOD_SERIES)
-    result = _euler_2f1(a, b, c, z)
-    if result is not None:
-        return result
-    # No valid Euler ordering: raw series with the cap raised, tail bound kept.
-    value, err, _ = _series_2f1(a, b, c, z, max(MAX_TERMS, 200000))
+    if z > SERIES_SWITCH:
+        result = _euler_2f1(a, b, c, z)
+        if result is not None:
+            return result
+    value, err, _ = _series_2f1(a, b, c, z)
     return EvalResult(value, err, METHOD_SERIES)
 
 

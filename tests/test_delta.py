@@ -33,6 +33,7 @@ from pqelliptic import (
     product_gap_in_bounds,
     sharp_linear_bounds,
 )
+from pqelliptic.delta_analysis import delta_prime_result, delta_result, delta_second_result
 
 P22 = PQParams(2.0, 2.0)
 
@@ -131,6 +132,13 @@ class TestDelta:
         params = PQParams(p, q)
         comp = (1.0 - r ** p) ** (1.0 / p)
         assert abs(delta(params, comp) + delta(params, r)) < 1e-12
+
+    def test_route_tag_names_every_route(self):
+        # At r = 0.2 the kernel argument is x = 0.04, so the 2F1 at 1 - x = 0.96
+        # runs on the Euler quadrature while the one at x runs on the series.
+        for result in (delta_result, delta_prime_result, delta_second_result):
+            assert result(P22, 0.2).method == "euler_quadrature+series"
+            assert result(P22, 0.5).method == "series"
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -1,7 +1,9 @@
 """Foundational special functions: values, identities, and oracles."""
 
 import math
+import random
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -97,6 +99,43 @@ class TestIncBeta:
     def test_bounded_by_complete(self, z, a, b):
         assert 0.0 <= inc_beta(z, a, b) <= beta(a, b) * (1 + 1e-12)
 
+    def test_against_mpmath_both_sides_of_pivot(self):
+        # Half the samples over a in [0.15, 5], b in [0.1, 1]; half over the
+        # arcsin_pq arguments a = 1/q, b = 1 - 1/p, z = x**q, p, q in
+        # [1.05, 8]. One (a, b) pair in four per half adds z at the pivot
+        # (a + 1)/(a + b + 2) where the complement form takes over, and the
+        # next float past it.
+        rng = random.Random(20261018)
+        samples = []
+        for i in range(80):
+            if i % 2 == 0:
+                a, b, q = rng.uniform(0.15, 5.0), rng.uniform(0.1, 1.0), 1.0
+            else:
+                p, q = rng.uniform(1.05, 8.0), rng.uniform(1.05, 8.0)
+                a, b = 1.0 / q, 1.0 - 1.0 / p
+            samples += [(rng.random() ** q, a, b), (rng.random() ** q, a, b)]
+            if i % 8 < 2:
+                pivot = (a + 1.0) / (a + b + 2.0)
+                samples += [(pivot, a, b), (math.nextafter(pivot, 1.0), a, b)]
+        assert len(samples) == 200
+        with mpmath.workdps(40):
+            for z, a, b in samples:
+                exact = mpmath.betainc(a, b, 0, z)
+                assert abs(inc_beta(z, a, b) - exact) <= 1e-13 * abs(exact), (z, a, b)
+
+    def test_large_a_below_pivot_is_accurate_or_refused(self):
+        # The pivot (a + 1)/(a + 2.5) nears 1 as a grows, so the series just
+        # below it slows down; a sum the term cap cuts short is refused.
+        def below_pivot(a):
+            return (a + 1.0) / (a + 2.5) * (1.0 - 1e-12)
+
+        z = below_pivot(1e3)
+        with mpmath.workdps(40):
+            exact = mpmath.betainc(1e3, 0.5, 0, z)
+        assert abs(inc_beta(z, 1e3, 0.5) - exact) <= 1e-13 * abs(exact)
+        with pytest.raises(DomainError, match="did not converge"):
+            inc_beta(below_pivot(1e5), 1e5, 0.5)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             inc_beta(1.5, 0.5, 0.5)
@@ -141,6 +180,12 @@ class TestGauss2F1:
     def test_c_pole(self):
         with pytest.raises(DomainError):
             HypArgs(0.5, 0.5, -1.0, 0.5)
+
+    def test_non_finite_parameters(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            for a, b, c in ((bad, 1.0, 2.0), (1.0, bad, 2.0), (1.0, 1.0, bad)):
+                with pytest.raises(DomainError, match="finite"):
+                    gauss_2f1(HypArgs(a, b, c, 0.5))
 
     def test_max_terms_env_override(self, monkeypatch):
         # A capped series still reports an error estimate covering its truncation.

@@ -44,7 +44,7 @@ class AxisRange:
         if self.steps == 1:
             return [self.lo]
         span = self.hi - self.lo
-        return [self.lo + i * span / (self.steps - 1) for i in range(self.steps)]
+        return [self.lo + i * span / (self.steps - 1) for i in range(self.steps - 1)] + [self.hi]
 
 
 @dataclass(frozen=True)

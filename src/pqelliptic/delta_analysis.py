@@ -71,17 +71,9 @@ def _kernel_args(a: float, b: float, x: float) -> HypArgs:
     return HypArgs(a, 1.0 - b, 2.0 + a - b, x)
 
 
-def _kernel_closed_at_argument(a: float, b: float, x: float) -> EvalResult:
-    """Closed form of the kernel H_{a,b} at internal argument x = r**(1/b)."""
-    coefficient = (1.0 - b) * pi_pq(1.0 / b, 1.0 / a) / (2.0 * (1.0 + a - b))
-    inner = gauss_2f1(_kernel_args(a, b, x))
-    return EvalResult(coefficient * inner.value, abs(coefficient) * inner.err_estimate,
-                      inner.method)
-
-
-def _route(*parts: EvalResult) -> str:
-    """Route tag of a value combined from parts: their distinct tags, sorted, joined by +."""
-    return "+".join(sorted({part.method for part in parts}))
+def _kernel_coefficient(a: float, b: float) -> float:
+    """(1 - b) * pi_{1/b,1/a} / (2 * (1 + a - b)): the kernel's value at r = 0."""
+    return (1.0 - b) * pi_pq(1.0 / b, 1.0 / a) / (2.0 * (1.0 + a - b))
 
 
 def _check_kernel_parameters(a: float, b: float) -> None:
@@ -124,25 +116,22 @@ def H_closed(a: float, b: float, r: float) -> float:
     _check_kernel_parameters(a, b)
     if not 0.0 <= r <= 1.0:
         raise DomainError(f"closed kernel form requires r in [0, 1], got r={r}")
-    return _kernel_closed_at_argument(a, b, r ** (1.0 / b)).value
+    return (_kernel_coefficient(a, b) * gauss_2f1(_kernel_args(a, b, r ** (1.0 / b)))).value
 
 
 def delta_result(params: PQParams, r: float) -> EvalResult:
     """Difference function with error estimate and method tag."""
-    constants = DeltaConstants.for_params(params)
-    if r == 0.0:
-        return EvalResult(constants.delta0, 1e-15 * abs(constants.delta0),
-                          METHOD_GAUSS_CLOSED_FORM)
-    if r == 1.0:
-        return EvalResult(constants.delta1, 1e-15 * abs(constants.delta1),
-                          METHOD_GAUSS_CLOSED_FORM)
-    if not 0.0 < r < 1.0:
+    if not 0.0 <= r <= 1.0:
         raise DomainError(f"difference function requires r in [0, 1], got r={r}")
+    if r == 0.0 or r == 1.0:
+        constants = DeltaConstants.for_params(params)
+        limit = constants.delta0 if r == 0.0 else constants.delta1
+        return EvalResult(limit, 1e-15 * abs(limit), METHOD_GAUSS_CLOSED_FORM)
+    a, b = params.inv_q, params.inv_p
+    coefficient = _kernel_coefficient(a, b)
     x = r ** params.p
-    upper = _kernel_closed_at_argument(params.inv_q, params.inv_p, x)
-    lower = _kernel_closed_at_argument(params.inv_q, params.inv_p, 1.0 - x)
-    return EvalResult(upper.value - lower.value,
-                      upper.err_estimate + lower.err_estimate, _route(upper, lower))
+    return (coefficient * gauss_2f1(_kernel_args(a, b, x))
+            - coefficient * gauss_2f1(_kernel_args(a, b, 1.0 - x)))
 
 
 def delta(params: PQParams, r: float) -> float:
@@ -184,14 +173,10 @@ def delta_prime_result(params: PQParams, r: float) -> EvalResult:
         return EvalResult(0.0, 0.0, METHOD_GAUSS_CLOSED_FORM)
     if not 0.0 < r < 1.0:
         raise DomainError(f"slope requires r in [0, 1), got r={r}")
-    constants = DeltaConstants.for_params(params)
     a1, b1, c1 = _derivative_front(params)
     x = r ** params.p
-    fx = gauss_2f1(HypArgs(a1, b1, c1, x))
-    fy = gauss_2f1(HypArgs(a1, b1, c1, 1.0 - x))
-    scale = constants.eta * r ** (params.p - 1.0)
-    return EvalResult(scale * (fx.value + fy.value),
-                      scale * (fx.err_estimate + fy.err_estimate), _route(fx, fy))
+    return DeltaConstants.for_params(params).eta * r ** (params.p - 1.0) * (
+        gauss_2f1(HypArgs(a1, b1, c1, x)) + gauss_2f1(HypArgs(a1, b1, c1, 1.0 - x)))
 
 
 def delta_prime(params: PQParams, r: float) -> float:
@@ -222,17 +207,10 @@ def _curvature_terms(
 
 def delta_second_result(params: PQParams, r: float) -> EvalResult:
     _, shift, f1x, f1y, f2x, f2y = _curvature_terms(params, r)
-    constants = DeltaConstants.for_params(params)
     p = params.p
-    value = constants.eta * (
-        (p - 1.0) * r ** (p - 2.0) * (f1x.value + f1y.value)
-        + p * r ** (2.0 * p - 2.0) * shift * (f2x.value - f2y.value)
-    )
-    err = constants.eta * (
-        (p - 1.0) * r ** (p - 2.0) * (f1x.err_estimate + f1y.err_estimate)
-        + p * r ** (2.0 * p - 2.0) * shift * (f2x.err_estimate + f2y.err_estimate)
-    )
-    return EvalResult(value, err, _route(f1x, f1y, f2x, f2y))
+    return DeltaConstants.for_params(params).eta * (
+        (p - 1.0) * r ** (p - 2.0) * (f1x + f1y)
+        + p * r ** (2.0 * p - 2.0) * shift * (f2x - f2y))
 
 
 def delta_second(params: PQParams, r: float) -> float:
@@ -255,11 +233,9 @@ def delta_second_sign_variant(params: PQParams, r: float) -> float:
     which form it supports.
     """
     x, shift, f1x, f1y, f2x, f2y = _curvature_terms(params, r)
-    constants = DeltaConstants.for_params(params)
     p = params.p
-    return constants.eta * r ** (p - 2.0) * (
-        (p - 1.0) * (f1x.value - f1y.value) + p * shift * x * (f2x.value + f2y.value)
-    )
+    return (DeltaConstants.for_params(params).eta * r ** (p - 2.0) * (
+        (p - 1.0) * (f1x - f1y) + p * shift * x * (f2x + f2y))).value
 
 
 def epsilon(p, q):

@@ -80,9 +80,7 @@ def _complete_args(params: PQParams, b: float, z: float) -> HypArgs:
 
 def _complete_integral(params: PQParams, b: float, r: float) -> EvalResult:
     """(pi_pq / 2) * 2F1 of the family selected by b, at z = r**p."""
-    inner = gauss_2f1(_complete_args(params, b, r ** params.p))
-    scale = 0.5 * params.pi_pq
-    return EvalResult(scale * inner.value, scale * inner.err_estimate, inner.method)
+    return 0.5 * params.pi_pq * gauss_2f1(_complete_args(params, b, r ** params.p))
 
 
 def K_comp(params: PQParams, r: float) -> EvalResult:

@@ -69,11 +69,30 @@ class HypArgs:
 
 @dataclass(frozen=True)
 class EvalResult:
-    """A computed value with an upper bound on its observed residual."""
+    """A computed value with an upper bound on its observed residual.
+
+    a + b and a - b add the error estimates, scale * a scales it by |scale|; a
+    combined route tag lists the distinct routes, sorted and +-joined.
+    """
 
     value: float
     err_estimate: float
     method: str
+
+    def __add__(self, other: EvalResult) -> EvalResult:
+        return EvalResult(self.value + other.value, self.err_estimate + other.err_estimate,
+                          _joined_route(self, other))
+
+    def __sub__(self, other: EvalResult) -> EvalResult:
+        return EvalResult(self.value - other.value, self.err_estimate + other.err_estimate,
+                          _joined_route(self, other))
+
+    def __rmul__(self, scale: float) -> EvalResult:
+        return EvalResult(scale * self.value, abs(scale) * self.err_estimate, self.method)
+
+
+def _joined_route(a: EvalResult, b: EvalResult) -> str:
+    return "+".join(sorted({*a.method.split("+"), *b.method.split("+")}))
 
 
 def ln_gamma(x: float) -> float:
@@ -104,9 +123,8 @@ def inc_beta(z: float, a: float, b: float) -> float:
         raise DomainError(f"inc_beta requires b in (0, 1], got b={b}")
     if z == 0.0:
         return 0.0
-    full = beta(a, b)
     if z == 1.0:
-        return full
+        return beta(a, b)
     # B(z; a, b) = z^a / a * 2F1(a, 1 - b; a + 1; z) (DLMF 8.17.8). Past the pivot
     # the complement converges faster; its argument stays under 2/3 as b <= 1.
     # Below it the series hits the term cap only for large a, as the pivot nears 1.
@@ -116,7 +134,7 @@ def inc_beta(z: float, a: float, b: float) -> float:
             raise DomainError(f"incomplete beta series did not converge for a={a}, b={b}, z={z}")
         return z ** a / a * value
     w = 1.0 - z
-    return full - w ** b / b * _series_2f1(b, 1.0 - a, b + 1.0, w)[0]
+    return beta(a, b) - w ** b / b * _series_2f1(b, 1.0 - a, b + 1.0, w)[0]
 
 
 def _series_2f1(a: float, b: float, c: float, z: float) -> tuple[float, float, bool]:

@@ -97,6 +97,14 @@ class TestScan:
                    "--quantity", "delta", "--out", str(out))
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_axis_ends_exactly_at_hi(self, runner, tmp_path):
+        # 0.1 + 3 * (0.8 / 3) rounds to 0.9000000000000001
+        out = tmp_path / "scan.csv"
+        invoke(runner, "scan", "--grid", "p:2:2:1,q:2:2:1,r:0.1:0.9:4",
+               "--quantity", "delta", "--out", str(out))
+        rows = list(csv.DictReader(out.open()))
+        assert [float(row["r"]) for row in (rows[0], rows[-1])] == [0.1, 0.9]
+
     def test_bad_grid_is_usage_error(self, runner):
         result = runner.invoke(main, ["scan", "--grid", "p:0.5:2:3",
                                       "--quantity", "K", "--out", "x.csv"])
@@ -232,6 +240,12 @@ class TestRegions:
         assert rows["2"]["admissible"] == "true"
         assert rows["1.2"]["cond1"] == "false"
         assert rows["1.2"]["admissible"] == "false"
+
+    def test_axis_ends_exactly_at_hi(self, runner, tmp_path):
+        # 1.05 + 3 * (2.95 / 3) rounds to 4.000000000000001
+        out = tmp_path / "regions.csv"
+        invoke(runner, "regions", "--grid", "p:1.05:4:4,q:2:2:1", "--out", str(out))
+        assert [row["p"] for row in csv.DictReader(out.open())][-1] == "4"
 
     def test_large_exponent_corner(self, runner, tmp_path):
         out = tmp_path / "regions.csv"

@@ -203,6 +203,27 @@ class TestGauss2F1:
         assert res.value == pytest.approx(exact, rel=1e-11)
 
 
+class TestEvalResultArithmetic:
+    def test_sum_and_difference_add_the_errors(self):
+        a = special.EvalResult(2.0, 0.25, "series")
+        b = special.EvalResult(0.5, 0.125, "series")
+        assert a + b == special.EvalResult(2.5, 0.375, "series")
+        assert a - b == special.EvalResult(1.5, 0.375, "series")
+
+    def test_negative_scale_keeps_the_error_non_negative(self):
+        scaled = -3.0 * special.EvalResult(2.0, 0.25, "euler_quadrature")
+        assert scaled == special.EvalResult(-6.0, 0.75, "euler_quadrature")
+
+    def test_route_tags_join_their_distinct_parts(self):
+        def tagged(method):
+            return special.EvalResult(1.0, 0.0, method)
+
+        assert (tagged("euler_quadrature+series") + tagged("series")).method == (
+            "euler_quadrature+series")
+        assert (tagged("gauss_closed_form+series") - tagged("euler_quadrature")).method == (
+            "euler_quadrature+gauss_closed_form+series")
+
+
 class TestGaussValueAtOne:
     def test_gamma_ratio(self):
         assert gauss_value_at_one(0.5, 0.5, 2.0) == pytest.approx(4.0 / math.pi, rel=1e-14)

@@ -66,9 +66,10 @@ class DeltaConstants:
         return cls(c1=c1, delta0=delta0, delta1=-delta0, eta=eta, beta1=-2.0 * delta0)
 
 
-def _kernel_args(a: float, b: float, x: float) -> HypArgs:
-    """(a, 1 - b; 2 + a - b; x): the 2F1 of the kernel closed form."""
-    return HypArgs(a, 1.0 - b, 2.0 + a - b, x)
+def _kernel_args(a: float, b: float, x: float, w: float | None = None) -> HypArgs:
+    """(a, 1 - b; 2 + a - b; x), c - a - b = 1: the 2F1 of the kernel closed
+    form; w is 1 - x."""
+    return HypArgs(a, 1.0 - b, 2.0 + a - b, x, 1, w)
 
 
 def _kernel_coefficient(a: float, b: float) -> float:
@@ -93,18 +94,18 @@ def H_def(a: float, b: float, r: float) -> float:
     _check_kernel_parameters(a, b)
     if not 0.0 < r <= 1.0:
         raise DomainError(f"defining kernel form requires r in (0, 1], got r={r}")
-    x = r ** (1.0 / b)
+    x, w = elliptic._power_pair(1.0 / b, r)
     if x < CANCELLATION_THRESHOLD:
         warnings.warn(
             f"kernel combination at internal argument {x:.3e} < {CANCELLATION_THRESHOLD}"
             " subtracts nearly equal values; use the closed form instead",
             CancellationWarning, stacklevel=2)
     prefactor = pi_pq(1.0 / b, 1.0 / a) / (2.0 * x)
-    first = gauss_2f1(HypArgs(a, -b, 1.0 + a - b, x)).value
-    if x == 1.0:
+    first = gauss_2f1(HypArgs(a, -b, 1.0 + a - b, x, 1, w)).value
+    if w == 0.0:
         return prefactor * first
-    second = gauss_2f1(HypArgs(a, 1.0 - b, 1.0 + a - b, x)).value
-    return prefactor * (first - (1.0 - x) * second)
+    second = gauss_2f1(HypArgs(a, 1.0 - b, 1.0 + a - b, x, 0, w)).value
+    return prefactor * (first - w * second)
 
 
 def H_closed(a: float, b: float, r: float) -> float:
@@ -116,7 +117,8 @@ def H_closed(a: float, b: float, r: float) -> float:
     _check_kernel_parameters(a, b)
     if not 0.0 <= r <= 1.0:
         raise DomainError(f"closed kernel form requires r in [0, 1], got r={r}")
-    return (_kernel_coefficient(a, b) * gauss_2f1(_kernel_args(a, b, r ** (1.0 / b)))).value
+    x, w = elliptic._power_pair(1.0 / b, r)
+    return (_kernel_coefficient(a, b) * gauss_2f1(_kernel_args(a, b, x, w))).value
 
 
 def delta_result(params: PQParams, r: float) -> EvalResult:
@@ -129,9 +131,9 @@ def delta_result(params: PQParams, r: float) -> EvalResult:
         return EvalResult(limit, 1e-15 * abs(limit), METHOD_GAUSS_CLOSED_FORM)
     a, b = params.inv_q, params.inv_p
     coefficient = _kernel_coefficient(a, b)
-    x = r ** params.p
-    return (coefficient * gauss_2f1(_kernel_args(a, b, x))
-            - coefficient * gauss_2f1(_kernel_args(a, b, 1.0 - x)))
+    x, w = elliptic._power_pair(params.p, r)
+    return (coefficient * gauss_2f1(_kernel_args(a, b, x, w))
+            - coefficient * gauss_2f1(_kernel_args(a, b, w, x)))
 
 
 def delta(params: PQParams, r: float) -> float:
@@ -147,13 +149,13 @@ def delta(params: PQParams, r: float) -> float:
 def delta_via_elliptic(params: PQParams, r: float) -> float:
     """Cross-check route: the difference function straight from K and E.
 
-    Subtractive; trustworthy to ~1e-9 only for r in [0.05, 0.95], the band
-    used by the route-equivalence certification.
+    Subtractive: (E - (1 - r**p) K) / r**p loses about 1e-16 / r**p, and the
+    complementary term about 1e-16 / (1 - r**p). The route-equivalence
+    certification compares it on [0.05, 0.95] and skips r**p < 1e-6.
     """
     if not 0.0 < r < 1.0:
         raise DomainError(f"direct route requires r in (0, 1), got r={r}")
-    r_p = r ** params.p
-    comp_p = 1.0 - r_p
+    r_p, comp_p = elliptic._power_pair(params.p, r)
     k_val = elliptic.K_pq(params, r).value
     e_val = elliptic.E_pq(params, r).value
     k_comp = elliptic.K_comp(params, r).value
@@ -162,6 +164,8 @@ def delta_via_elliptic(params: PQParams, r: float) -> float:
 
 
 def _derivative_front(params: PQParams) -> tuple[float, float, float]:
+    """(a1, b1, c1) of F1 = 2F1(a1, b1; c1; .), with c1 - a1 - b1 = 0; F2 raises
+    each by one, so its gap is -1."""
     a1 = 1.0 + params.inv_q
     b1 = 2.0 - params.inv_p
     c1 = 3.0 + params.inv_q - params.inv_p
@@ -174,9 +178,9 @@ def delta_prime_result(params: PQParams, r: float) -> EvalResult:
     if not 0.0 < r < 1.0:
         raise DomainError(f"slope requires r in [0, 1), got r={r}")
     a1, b1, c1 = _derivative_front(params)
-    x = r ** params.p
+    x, w = elliptic._power_pair(params.p, r)
     return DeltaConstants.for_params(params).eta * r ** (params.p - 1.0) * (
-        gauss_2f1(HypArgs(a1, b1, c1, x)) + gauss_2f1(HypArgs(a1, b1, c1, 1.0 - x)))
+        gauss_2f1(HypArgs(a1, b1, c1, x, 0, w)) + gauss_2f1(HypArgs(a1, b1, c1, w, 0, x)))
 
 
 def delta_prime(params: PQParams, r: float) -> float:
@@ -197,11 +201,11 @@ def _curvature_terms(
     if not 0.0 < r < 1.0:
         raise DomainError(f"curvature requires r in (0, 1), got r={r}")
     a1, b1, c1 = _derivative_front(params)
-    x = r ** params.p
-    f1x = gauss_2f1(HypArgs(a1, b1, c1, x))
-    f1y = gauss_2f1(HypArgs(a1, b1, c1, 1.0 - x))
-    f2x = gauss_2f1(HypArgs(a1 + 1.0, b1 + 1.0, c1 + 1.0, x))
-    f2y = gauss_2f1(HypArgs(a1 + 1.0, b1 + 1.0, c1 + 1.0, 1.0 - x))
+    x, y = elliptic._power_pair(params.p, r)
+    f1x = gauss_2f1(HypArgs(a1, b1, c1, x, 0, y))
+    f1y = gauss_2f1(HypArgs(a1, b1, c1, y, 0, x))
+    f2x = gauss_2f1(HypArgs(a1 + 1.0, b1 + 1.0, c1 + 1.0, x, -1, y))
+    f2y = gauss_2f1(HypArgs(a1 + 1.0, b1 + 1.0, c1 + 1.0, y, -1, x))
     return x, a1 * b1 / c1, f1x, f1y, f2x, f2y
 
 

@@ -25,11 +25,6 @@ from .special import (
     ln_gamma,
 )
 
-#: First-kind evaluation is refused above this modulus: the defining series
-#: sits exactly on the logarithmic boundary and diverges at r = 1.
-K_MODULUS_CAP = 1.0 - 1e-8
-
-
 @dataclass(frozen=True)
 class Modulus:
     """A modulus r in (0, 1) paired with its complement (1 - r**p)**(1/p).
@@ -51,46 +46,62 @@ class Modulus:
         return Modulus(self.r_comp, self.r)
 
 
+def _power_pair(p: float, r: float) -> tuple[float, float]:
+    """x = r**p and its complement 1 - x, each to full relative precision.
+
+    Above x = 1/2 the complement is -expm1(p*log(r)), which stays exact to
+    a few ulps of itself as x -> 1 (and is positive for every r < 1 even
+    when x rounds to 1); below, 1 - x loses nothing.
+    """
+    x = r ** p
+    return x, (1.0 - x if x <= 0.5 else -math.expm1(p * math.log(r)))
+
+
 def K_pq(params: PQParams, r: float) -> EvalResult:
     """Complete integral of the first kind; strictly increasing in r.
 
-    Diverges logarithmically as r -> 1; evaluation is allowed up to
-    1 - 1e-8 and refused beyond that.
+    Finite for every r < 1; diverges logarithmically as r -> 1.
     """
     if not 0.0 <= r < 1.0:
         raise DomainError(f"first-kind integral requires r in [0, 1), got r={r}")
-    if r > K_MODULUS_CAP:
-        raise DivergenceError(
-            f"first-kind integral diverges as r -> 1; refusing r={r} > {K_MODULUS_CAP}")
-    return _complete_integral(params, 1.0 - params.inv_p, r)
+    return _complete_integral(params, 0, *_power_pair(params.p, r))
 
 
 def E_pq(params: PQParams, r: float) -> EvalResult:
     """Complete integral of the second kind; strictly decreasing, finite at r = 1."""
     if not 0.0 <= r <= 1.0:
         raise DomainError(f"second-kind integral requires r in [0, 1], got r={r}")
-    return _complete_integral(params, -params.inv_p, r)
+    return _complete_integral(params, 1, *_power_pair(params.p, r))
 
 
-def _complete_args(params: PQParams, b: float, z: float) -> HypArgs:
-    """(1/q, b; 1 - 1/p + 1/q; z): b = 1 - 1/p is the first-kind family,
-    b = -1/p the second."""
-    return HypArgs(params.inv_q, b, 1.0 - params.inv_p + params.inv_q, z)
+def _complete_args(params: PQParams, m: int, z: float, w: float | None = None) -> HypArgs:
+    """(1/q, b; 1 - 1/p + 1/q; z), with c - a - b = m: m = 0 is the first-kind
+    family (b = 1 - 1/p), m = 1 the second (b = -1/p); w is 1 - z."""
+    b = 1.0 - params.inv_p if m == 0 else -params.inv_p
+    return HypArgs(params.inv_q, b, 1.0 - params.inv_p + params.inv_q, z, m, w)
 
 
-def _complete_integral(params: PQParams, b: float, r: float) -> EvalResult:
-    """(pi_pq / 2) * 2F1 of the family selected by b, at z = r**p."""
-    return 0.5 * params.pi_pq * gauss_2f1(_complete_args(params, b, r ** params.p))
+def _complete_integral(params: PQParams, m: int, z: float, w: float) -> EvalResult:
+    """(pi_pq / 2) * 2F1 of the family selected by m, at z = r**p with w = 1 - z."""
+    return 0.5 * params.pi_pq * gauss_2f1(_complete_args(params, m, z, w))
+
+
+def _complementary_pair(params: PQParams, r: float) -> tuple[float, float]:
+    """(r'**p, 1 - r'**p) = (1 - r**p, r**p) for the complementary modulus r'."""
+    if not 0.0 < r < 1.0:
+        raise DomainError(f"modulus must lie in (0, 1), got r={r}")
+    x, w = _power_pair(params.p, r)
+    return w, x
 
 
 def K_comp(params: PQParams, r: float) -> EvalResult:
     """First-kind integral at the complementary modulus."""
-    return K_pq(params, Modulus.for_params(params, r).r_comp)
+    return _complete_integral(params, 0, *_complementary_pair(params, r))
 
 
 def E_comp(params: PQParams, r: float) -> EvalResult:
     """Second-kind integral at the complementary modulus."""
-    return E_pq(params, Modulus.for_params(params, r).r_comp)
+    return _complete_integral(params, 1, *_complementary_pair(params, r))
 
 
 def euler_integral_oracle(args: HypArgs) -> EvalResult:
@@ -189,7 +200,8 @@ def _borwein(a: float, s: float, r: float, first_kind: bool) -> float:
         raise DomainError(f"first-kind value requires r in [0, 1), got r={r}")
     if not first_kind and not 0.0 <= r <= 1.0:
         raise DomainError(f"second-kind value requires r in [0, 1], got r={r}")
-    return gauss_2f1(HypArgs(a, 0.5 + s, 1.0, r * r)).value
+    # c - a - b is 0 for the first kind and 1 for the second
+    return gauss_2f1(HypArgs(a, 0.5 + s, 1.0, r * r, 0 if first_kind else 1)).value
 
 
 def takeuchi_bridge_residual(s: float, r: float) -> float:

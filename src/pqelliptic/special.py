@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .quadrature import tanh_sinh_01
 
@@ -28,46 +29,62 @@ class DivergenceError(ValueError):
 METHOD_SERIES = "series"
 METHOD_EULER_QUADRATURE = "euler_quadrature"
 METHOD_GAUSS_CLOSED_FORM = "gauss_closed_form"
+METHOD_CONNECTION = "connection"
 
 #: Hard cap on hypergeometric series terms.
 MAX_TERMS = 200_000
 
 #: Above this argument the raw series is not trusted on its own and the
-#: evaluator switches to the Euler-integral quadrature route.
+#: evaluator switches to the 1 - z connection formula (integer c - a - b)
+#: or to the Euler-integral quadrature route (any other c - a - b).
 SERIES_SWITCH = 0.9
 
 _SERIES_TOL = 1e-16
+_EPS = 2.0 ** -52
+_EULER_GAMMA = 0.5772156649015329
+#: Relative error estimate up to which a connection-formula result is kept
+#: without trying the quadrature route.
+_CONNECTION_TRUST = 1e-13
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HypArgs:
     """Parameter/argument bundle (a, b; c; z) for the hypergeometric series.
 
     a, b and c must be finite, c must not be a non-positive integer (poles
     of the coefficients) and z is restricted to [0, 1]; z = 1 is only
-    evaluable when c - a - b > 0.
+    evaluable when c - a - b > 0. A caller that knows them passes m, the
+    exact integer c - a - b of its family, and w, the complement 1 - z to
+    full relative precision (z may then round to 1 while w > 0).
     """
 
     a: float
     b: float
     c: float
     z: float
+    m: int | None = None
+    w: float | None = None
 
     def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (self.a, self.b, self.c))):
-            raise DomainError(
-                f"a, b and c must be finite, got a={self.a}, b={self.b}, c={self.c}")
-        if self.c <= 0 and self.c == math.floor(self.c):
-            raise DomainError(f"c must not be a non-positive integer, got c={self.c}")
-        if not 0.0 <= self.z <= 1.0:
-            raise DomainError(f"z must lie in [0, 1], got z={self.z}")
+        a, b, c, z, m, w = self.a, self.b, self.c, self.z, self.m, self.w
+        if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
+            raise DomainError(f"a, b and c must be finite, got a={a}, b={b}, c={c}")
+        if c <= 0 and c == math.floor(c):
+            raise DomainError(f"c must not be a non-positive integer, got c={c}")
+        if not 0.0 <= z <= 1.0:
+            raise DomainError(f"z must lie in [0, 1], got z={z}")
+        if m is not None and not (isinstance(m, int)
+                                  and abs(c - a - b - m) <= 1e-12 * (1.0 + abs(a) + abs(b))):
+            raise DomainError(f"m={m} is not c - a - b for a={a}, b={b}, c={c}")
+        if w is not None and not (0.0 <= w <= 1.0 and abs(z - 1.0 + w) <= 1e-14):
+            raise DomainError(f"w={w} is not the complement of z={z}")
 
     @property
     def convergent_at_one(self) -> bool:
-        return self.c - self.a - self.b > 0.0
+        return self.m > 0 if self.m is not None else self.c - self.a - self.b > 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvalResult:
     """A computed value with an upper bound on its observed residual.
 
@@ -165,46 +182,172 @@ def _series_2f1(a: float, b: float, c: float, z: float) -> tuple[float, float, b
     return total, err, False
 
 
-def _euler_2f1(a: float, b: float, c: float, z: float) -> EvalResult | None:
-    """Euler-integral route, valid when c > b > 0 (or c > a > 0 after swap)."""
+def _euler_2f1(a: float, b: float, c: float, w: float) -> EvalResult | None:
+    """Euler-integral route at z = 1 - w, valid when c > b > 0 (or c > a > 0 after swap)."""
     if not (c > b > 0.0):
         if c > a > 0.0:
             a, b = b, a
         else:
             return None
-    one_minus_z = 1.0 - z
-    prefactor = math.exp(ln_gamma(c) - ln_gamma(b) - ln_gamma(c - b))
+    prefactor, size = _gamma_ratio((c,), (b, c - b))
 
     def integrand(t: float, tm: float) -> float:
-        # 1 - z*t rewritten as tm + (1-z)*t: stable inside the t -> 1 layer.
-        return t ** (b - 1.0) * tm ** (c - b - 1.0) * (tm + one_minus_z * t) ** (-a)
+        # 1 - z*t rewritten as tm + w*t: stable inside the t -> 1 layer.
+        return t ** (b - 1.0) * tm ** (c - b - 1.0) * (tm + w * t) ** (-a)
 
     value, err = tanh_sinh_01(integrand, rel_tol=5e-14, max_level=10)
-    return EvalResult(prefactor * value, prefactor * err + 4e-16 * abs(prefactor * value),
-                      METHOD_EULER_QUADRATURE)
+    rounding = (4e-16 + _EPS * size) * abs(prefactor * value)
+    return EvalResult(prefactor * value, prefactor * err + rounding, METHOD_EULER_QUADRATURE)
+
+
+def _digamma(x: float) -> float:
+    """psi(x) for x not a non-positive integer: upward recurrence to x >= 14,
+    then the asymptotic series (next omitted term below 2e-16)."""
+    shift = 0.0
+    while x < 14.0:
+        shift += 1.0 / x
+        x += 1.0
+    s = 1.0 / (x * x)
+    tail = s * (1 / 12 - s * (1 / 120 - s * (1 / 252 - s * (1 / 240 - s / 132))))
+    return math.log(x) - 0.5 / x - tail - shift
+
+
+def _exact_gap(a: float, b: float, c: float) -> int | None:
+    """c - a - b when it is an integer in exact rational arithmetic, else None."""
+    gap = Fraction(c) - Fraction(a) - Fraction(b)
+    return int(gap) if gap.denominator == 1 else None
+
+
+def _gamma_ratio(num: tuple[float, ...], den: tuple[float, ...]) -> tuple[float, float]:
+    """Product of Gamma over num divided by the product over den, formed from
+    signed log-gammas so that single factors may overflow (inf past the
+    double range), and the sum of the |log-gammas|, which bounds its
+    relative rounding in ulps. Arguments lie off the non-positive integers."""
+    sign, log, size = 1.0, 0.0, 1.0
+    for x, power in [(x, 1.0) for x in num] + [(x, -1.0) for x in den]:
+        # Gamma is negative on (-1, 0), (-3, -2), ...
+        if x < 0.0 and math.floor(x) % 2 == 1:
+            sign = -sign
+        lg = math.lgamma(x)
+        log += power * lg
+        size += abs(lg)
+    return sign * (math.exp(log) if log < 709.0 else math.inf), size
+
+
+def _connection_2f1(a: float, b: float, m: int, w: float) -> tuple[float, float]:
+    """2F1(a, b; a + b + m; 1 - w) for 0 < w <= 1/2 by the 1 - z connection
+    formula; returns (value, err_estimate), the value inf or nan past the
+    double range.
+
+    m >= 0 (DLMF 15.8.10; Abramowitz & Stegun 15.3.10-15.3.12): a finite
+    sum of m terms plus a series in w with a ln w / digamma bracket. m < 0
+    goes through the Euler transformation to the gap -m (DLMF 15.8.1).
+    Needs a, b and a + m, b + m off the non-positive integers.
+    """
+    if m < 0:
+        value, err = _connection_2f1(b + m, a + m, -m, w)
+        scale = w ** m if m * math.log(w) < 709.0 else math.inf
+        return scale * value, scale * err + 2.0 * _EPS * abs(scale * value)
+    c = a + b + m
+    # The finite sum (m >= 1): Gamma(m) Gamma(c) / (Gamma(a+m) Gamma(b+m))
+    # times the sum over k < m of (a)_k (b)_k / (k! (1-m)_k) w^k.
+    finite = finite_size = 0.0
+    harmonic = 0.0  # psi(m + 1) - psi(1)
+    if m > 0:
+        term = total = 1.0
+        for k in range(1, m):
+            term *= (a + k - 1) * (b + k - 1) * w / (k * (k - m))
+            total += term
+            harmonic += 1.0 / k
+        harmonic += 1.0 / m
+        gammas, finite_size = _gamma_ratio((m, c), (a + m, b + m))
+        finite = gammas * total
+    # The log part: lead times the sum over k of t_k [ln w + e1_k + e2_k], with
+    # lead = -(-1)^m Gamma(c) / (Gamma(a) Gamma(b) m!) w^m,
+    # t_k = (a+m)_k (b+m)_k m! / (k! (k+m)!) w^k,
+    # e1_k = psi(a+m+k) - psi(k+1) and e2_k = psi(b+m+k) - psi(k+m+1).
+    # lead is summed apart from finite: w^m may underflow to 0.
+    gammas, lead_size = _gamma_ratio((c,), (a, b, m + 1.0))
+    lead = -(-1.0) ** m * gammas * w ** m
+    am, bm = a + m, b + m
+    log_w = math.log(w)
+    abs_log_w = abs(log_w)
+    e1 = _digamma(am) + _EULER_GAMMA
+    e2 = _digamma(bm) + _EULER_GAMMA - harmonic
+    term = 1.0
+    series = 0.0
+    magnitude = 0.0
+    k = 0
+    tail = math.inf
+    while k < MAX_TERMS:
+        # Stop on the term's bound, not on the term: the bracket can cross zero.
+        size = abs(term) * (abs_log_w + abs(e1) + abs(e2))
+        if (abs(lead) * size <= _SERIES_TOL * abs(finite + lead * series)
+                and am + k > 0.0 and bm + k > 0.0):
+            # From k on each factor of t_{j+1} / t_j lies between its value at
+            # j = k and 1, and |e1_j|, |e2_j| shrink: a geometric tail bound.
+            ratio = w * max(1.0, (am + k) / (k + 1.0)) * max(1.0, (bm + k) / (k + m + 1.0))
+            if ratio < 1.0:
+                tail = size / (1.0 - ratio)
+                break
+        series += term * (log_w + e1 + e2)
+        magnitude += size
+        e1 += 1.0 / (am + k) - 1.0 / (k + 1.0)
+        e2 += 1.0 / (bm + k) - 1.0 / (k + m + 1.0)
+        term *= (am + k) * (bm + k) * w / ((k + 1.0) * (k + m + 1.0))
+        k += 1
+    # Rounding: the gamma ratios, the term and digamma recurrences, the sums.
+    rounding = _EPS * ((2.0 * k + 24.0 + lead_size) * abs(lead) * magnitude
+                       + (2.0 * m + 24.0 + finite_size) * abs(finite))
+    return finite + lead * series, abs(lead) * tail + rounding
+
+
+def _polynomial_case(a: float, b: float, m: int) -> bool:
+    """Whether a or b, or a + m or b + m, is a non-positive integer: the
+    series or its Euler transform terminates, and gamma has poles there."""
+    return ((a == math.floor(a) and min(a, a + m) <= 0.0)
+            or (b == math.floor(b) and min(b, b + m) <= 0.0))
 
 
 def gauss_2f1(args: HypArgs) -> EvalResult:
     """Gauss hypergeometric function on [0, 1] with an error estimate.
 
-    Series with tail-bound stopping up to z = 0.9; the Euler-integral
-    quadrature route above that, or the series up to MAX_TERMS when no
-    Euler ordering is valid; the gamma-ratio closed form exactly at z = 1
-    (which requires c - a - b > 0).
+    Series with tail-bound stopping up to z = 0.9. Above that, the 1 - z
+    connection formula in w = 1 - z when c - a - b is an integer m (taken
+    from args.m, or else decided in exact rationals); otherwise, or when
+    its estimate exceeds 1e-13 relative and the quadrature's is smaller,
+    the Euler-integral quadrature, or the series up to MAX_TERMS when no
+    Euler ordering is valid. Exactly at z = 1 (w = 0) the gamma-ratio
+    closed form, which requires c - a - b > 0. A value past the double
+    range raises DivergenceError.
     """
     a, b, c, z = args.a, args.b, args.c, args.z
-    if z == 1.0:
-        if not args.convergent_at_one:
-            raise DivergenceError(
-                f"2F1 diverges at z=1 when c-a-b <= 0 (got c-a-b={c - a - b})")
+    if z <= SERIES_SWITCH:
+        value, err, _ = _series_2f1(a, b, c, z)
+        return EvalResult(value, err, METHOD_SERIES)
+    w = 1.0 - z if args.w is None else args.w
+    m = args.m if args.m is not None else _exact_gap(a, b, c)
+    if w == 0.0:
+        gap = c - a - b if m is None else m
+        if gap <= 0.0:
+            raise DivergenceError(f"2F1 diverges at z=1 when c-a-b <= 0 (got c-a-b={gap})")
         value = gauss_value_at_one(a, b, c)
         return EvalResult(value, 8e-16 * abs(value), METHOD_GAUSS_CLOSED_FORM)
-    if z > SERIES_SWITCH:
-        result = _euler_2f1(a, b, c, z)
-        if result is not None:
-            return result
-    value, err, _ = _series_2f1(a, b, c, z)
-    return EvalResult(value, err, METHOD_SERIES)
+    result = None
+    if m is not None and not _polynomial_case(a, b, m):
+        result = EvalResult(*_connection_2f1(a, b, m, w), METHOD_CONNECTION)
+    # Large a, b let the log series cancel; the quadrature may then do better.
+    if result is None or (math.isfinite(result.value)
+                          and result.err_estimate > _CONNECTION_TRUST * abs(result.value)):
+        euler = _euler_2f1(a, b, c, w)
+        if euler is not None and (result is None or euler.err_estimate < result.err_estimate):
+            result = euler
+    if result is None:
+        value, err, _ = _series_2f1(a, b, c, z)
+        return EvalResult(value, err, METHOD_SERIES)
+    if not math.isfinite(result.value):
+        raise DivergenceError(f"2F1 exceeds the double range at z={z}, w={w}")
+    return result
 
 
 def gauss_value_at_one(a: float, b: float, c: float) -> float:
@@ -228,20 +371,24 @@ def f21_derivative(args: HypArgs) -> float:
     """d/dz of 2F1 at z < 1: (ab/c) * 2F1(a+1, b+1; c+1; z)."""
     if args.z >= 1.0:
         raise DomainError(f"derivative requires z < 1, got z={args.z}")
-    shifted = HypArgs(args.a + 1.0, args.b + 1.0, args.c + 1.0, args.z)
+    m = None if args.m is None else args.m - 1
+    shifted = HypArgs(args.a + 1.0, args.b + 1.0, args.c + 1.0, args.z, m, args.w)
     return args.a * args.b / args.c * gauss_2f1(shifted).value
 
 
-def contiguous_residual(sigma: float, alpha: float, rho: float, z: float) -> float:
+def contiguous_residual(sigma: float, alpha: float, rho: float, z: float,
+                        m: int | None = None) -> float:
     """Residual of the three-term contiguous relation at (sigma, alpha, rho, z).
 
     Returns (sigma-rho)*F(alpha,rho;sigma+1;z) - sigma*F(alpha,rho;sigma;z)
     + rho*F(alpha,rho+1;sigma+1;z); its magnitude bounds the violation of
-    the identity, which is exactly zero in real arithmetic.
+    the identity, which is exactly zero in real arithmetic. m, when given,
+    is the exact integer sigma - alpha - rho.
     """
     if not 0.0 <= z < 1.0:
         raise DomainError(f"contiguous residual requires z in [0, 1), got z={z}")
-    f_up = gauss_2f1(HypArgs(alpha, rho, sigma + 1.0, z)).value
-    f_mid = gauss_2f1(HypArgs(alpha, rho, sigma, z)).value
-    f_shift = gauss_2f1(HypArgs(alpha, rho + 1.0, sigma + 1.0, z)).value
+    up = None if m is None else m + 1
+    f_up = gauss_2f1(HypArgs(alpha, rho, sigma + 1.0, z, up)).value
+    f_mid = gauss_2f1(HypArgs(alpha, rho, sigma, z, m)).value
+    f_shift = gauss_2f1(HypArgs(alpha, rho + 1.0, sigma + 1.0, z, m)).value
     return (sigma - rho) * f_up - sigma * f_mid + rho * f_shift

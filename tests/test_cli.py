@@ -80,10 +80,12 @@ class TestScan:
         assert header == "p,q,r,value,err_estimate,method,note"
 
     def test_domain_error_point_becomes_nan_row(self, runner, tmp_path):
+        # r**p underflows to 0 at r = 1e-200, so the first-kind 2F1 of the
+        # complement sits at z = 1 exactly and raises DivergenceError.
         out = tmp_path / "scan.csv"
         result = invoke(runner, "scan",
-                        "--grid", "p:2:2:1,q:2:2:1,r:0.9999999999:0.9999999999:1",
-                        "--quantity", "K", "--out", str(out))
+                        "--grid", "p:2:2:1,q:2:2:1,r:1e-200:1e-200:1",
+                        "--quantity", "Kc", "--out", str(out))
         assert result.exit_code == 0
         rows = list(csv.DictReader(out.open()))
         assert len(rows) == 1
@@ -169,7 +171,7 @@ class TestVerify:
         assert claim["status"] == "pass"
 
     def test_routes_claim_notes_samples_the_direct_route_refuses(self, runner, tmp_path):
-        # At p = 6 the complement of r = 0.05 lies past the first-kind cap.
+        # At p = 6, r = 0.05 has r**p = 1.6e-8, below the direct route's accuracy floor.
         out = tmp_path / "report.json"
         result = runner.invoke(main, ["verify", "--claims", "delta.routes",
                                       "--p", "6", "--q", "2", "--out", str(out)])
@@ -177,8 +179,9 @@ class TestVerify:
         claim = json.loads(out.read_text())["claims"][0]
         assert claim["status"] == "pass"
         assert claim["pass_count"] == 18
-        assert claim["notes"] == ["direct route refused 1 sample(s) past the first-kind "
-                                  "modulus cap, first at p=6, q=2, r=0.05"]
+        assert claim["notes"] == ["direct route skipped 1 sample(s) with r**p < 1e-06, "
+                                  "where its subtraction loses digits, first at p=6, q=2, "
+                                  "r=0.05"]
 
     def test_report_schema(self, runner, tmp_path):
         # The layout documented under "Verification report JSON" in README.md.

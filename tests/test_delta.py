@@ -5,6 +5,7 @@ import math
 import warnings
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from pqelliptic import (
     CancellationWarning,
     DeltaConstants,
+    DivergenceError,
     DomainError,
     H_closed,
     H_def,
@@ -135,10 +137,18 @@ class TestDelta:
 
     def test_route_tag_names_every_route(self):
         # At r = 0.2 the kernel argument is x = 0.04, so the 2F1 at 1 - x = 0.96
-        # runs on the Euler quadrature while the one at x runs on the series.
+        # runs on the connection formula while the one at x runs on the series.
         for result in (delta_result, delta_prime_result, delta_second_result):
-            assert result(P22, 0.2).method == "euler_quadrature+series"
+            assert result(P22, 0.2).method == "connection+series"
             assert result(P22, 0.5).method == "series"
+
+    def test_subnormal_power_reaches_the_zero_limit(self):
+        # r**p = 1e-320 is subnormal; the kernel at 1 - r**p runs on its complement.
+        limit = DeltaConstants.for_params(P22).delta0
+        assert delta(P22, 1e-160) == pytest.approx(limit, rel=1e-14)
+        # The F2 term at the complement grows like r**-p, past the double range.
+        with pytest.raises(DivergenceError):
+            delta_second(P22, 1e-160)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -162,7 +172,36 @@ class TestDeltaConstants:
         assert round(c.beta1, 5) == 0.42920
 
 
+def _mp_slope_and_curvature(p, q, r):
+    """30-digit closed-form slope and curvature at the double inputs (p, q, r)."""
+    with mpmath.workdps(30):
+        p, q, r = mpmath.mpf(p), mpmath.mpf(q), mpmath.mpf(r)
+        ip, iq = 1 / p, 1 / q
+        pi_pq = 2 / q * mpmath.beta(1 - ip, iq)
+        eta = (p / q) * (1 - ip) ** 2 * pi_pq / (2 * (1 + iq - ip) * (2 + iq - ip))
+        a1, b1, c1 = 1 + iq, 2 - ip, 3 + iq - ip
+        x = r ** p
+        f1 = mpmath.hyp2f1(a1, b1, c1, x) + mpmath.hyp2f1(a1, b1, c1, 1 - x)
+        f2 = (mpmath.hyp2f1(a1 + 1, b1 + 1, c1 + 1, x)
+              - mpmath.hyp2f1(a1 + 1, b1 + 1, c1 + 1, 1 - x))
+        slope = eta * r ** (p - 1) * f1
+        curvature = eta * ((p - 1) * r ** (p - 2) * f1
+                           + p * r ** (2 * p - 2) * (a1 * b1 / c1) * f2)
+        return float(slope), float(curvature)
+
+
 class TestDerivatives:
+    def test_small_r_against_mpmath(self):
+        # 1 - r**p rounds to 1 at the first point (r**p = 8.6e-19), and the
+        # complement terms run at z > 0.9 at the others.
+        slope, _ = _mp_slope_and_curvature(4.996, 3.859, 2.43e-4)
+        assert slope == pytest.approx(1.5213e-13, rel=1e-4)
+        assert delta_prime(PQParams(4.996, 3.859), 2.43e-4) == pytest.approx(slope, rel=1e-13)
+        slope, _ = _mp_slope_and_curvature(5.75, 3.31, 0.089)
+        assert delta_prime(PQParams(5.75, 3.31), 0.089) == pytest.approx(slope, rel=1e-13)
+        _, curvature = _mp_slope_and_curvature(2.0, 2.0, 1e-3)
+        assert delta_second(P22, 1e-3) == pytest.approx(curvature, rel=1e-13)
+
     def test_slope_matches_finite_differences(self):
         h = 1e-5
         for p, q in ((2.0, 2.0), (2.25, 3.0), (2.5, 1.6)):

@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -62,8 +63,11 @@ class TestEndpoints:
         assert E_pq(params, 1.0).value == pytest.approx(expected, rel=1e-13)
 
     def test_first_kind_divergence(self):
-        with pytest.raises(DivergenceError):
-            K_pq(P22, 1.0 - 1e-10)
+        # Finite, if large, for every r < 1; r = 1 itself is outside the domain.
+        r = 1.0 - 1e-10
+        with mpmath.workdps(30):
+            exact = mpmath.ellipk(mpmath.mpf(r) ** 2)
+        assert K_pq(P22, r).value == pytest.approx(float(exact), rel=1e-13)
         with pytest.raises(DomainError):
             K_pq(P22, 1.5)
 
@@ -125,6 +129,26 @@ class TestComplements:
         params = PQParams(2.5, 1.5)
         near = E_comp(params, 1e-7).value
         assert near == pytest.approx(E_pq(params, 1.0).value, abs=1e-9)
+
+    def test_small_modulus_complement_against_mpmath(self):
+        # 1 - r**2 is 1 - 1e-6 and 1 - 1e-8: the complement r**2 carries the digits.
+        for r in (1e-3, 1e-4):
+            with mpmath.workdps(30):
+                exact = float(mpmath.ellipk(1 - mpmath.mpf(r) ** 2))
+            res = K_comp(P22, r)
+            assert res.value == pytest.approx(exact, rel=1e-13)
+            assert abs(res.value - exact) <= res.err_estimate + 1e-16 * exact
+
+    def test_subnormal_power_against_the_zero_limit(self):
+        # r**p is subnormal: 1e-320 and 1e-321; the next terms are O(r**p ln r).
+        for params, r in ((P22, 1e-160), (PQParams(3.0, 2.0), 1e-107)):
+            e_res = E_comp(params, r)
+            assert e_res.value == pytest.approx(E_pq(params, 1.0).value, rel=1e-14)
+            assert math.isfinite(e_res.err_estimate)
+        # Classical K'(r) = ln(4 / sqrt(w)) + O(w ln w) with w = r**2, which
+        # rounds to a subnormal with about four significant digits.
+        w = 1e-160 ** 2
+        assert K_comp(P22, 1e-160).value == pytest.approx(math.log(4.0 / math.sqrt(w)), rel=1e-14)
 
     def test_domain(self):
         with pytest.raises(DomainError):

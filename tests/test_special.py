@@ -1,5 +1,6 @@
 """Foundational special functions: values, identities, and oracles."""
 
+import dataclasses
 import math
 import random
 
@@ -13,6 +14,7 @@ from pqelliptic import (
     DivergenceError,
     DomainError,
     HypArgs,
+    PQParams,
     beta,
     contiguous_residual,
     euler_integral_oracle,
@@ -24,6 +26,7 @@ from pqelliptic import (
     ln_gamma,
     special,
 )
+from pqelliptic import delta_analysis, elliptic
 
 # Frozen from the adaptive-quadrature oracle of the defining integral
 # (Gauss-Kronrod with algebraic endpoint weights, abserr 3.0e-14).
@@ -198,9 +201,79 @@ class TestGauss2F1:
 
     def test_quadrature_route_above_switch(self):
         res = gauss_2f1(HypArgs(0.5, 0.5, 1.0, 0.95))
-        assert res.method == "euler_quadrature"
+        assert res.method == "connection"
         exact = 2.0 / math.pi * legendre_K_agm(math.sqrt(0.95))
         assert res.value == pytest.approx(exact, rel=1e-11)
+
+
+def _library_families(p, q, z, w):
+    """The five 2F1 families the library evaluates, with their exact gaps m."""
+    params = PQParams(p, q)
+    a1, b1, c1 = delta_analysis._derivative_front(params)
+    return {
+        "first kind": elliptic._complete_args(params, 0, z, w),
+        "second kind": elliptic._complete_args(params, 1, z, w),
+        "kernel": delta_analysis._kernel_args(params.inv_q, params.inv_p, z, w),
+        "F1": HypArgs(a1, b1, c1, z, 0, w),
+        "F2": HypArgs(a1 + 1.0, b1 + 1.0, c1 + 1.0, z, -1, w),
+    }
+
+
+class TestConnectionRoute:
+    def test_library_families_against_mpmath(self):
+        # w log-uniform on [1e-12, 0.1]: the whole z > 0.9 band the route serves.
+        rng = random.Random(20261018)
+        for _ in range(60):
+            p, q = rng.uniform(1.1, 6.0), rng.uniform(1.1, 6.0)
+            w = 10.0 ** rng.uniform(-12.0, -1.0)
+            for name, args in _library_families(p, q, 1.0 - w, w).items():
+                res = gauss_2f1(args)
+                assert res.method == "connection"
+                with mpmath.workdps(30):
+                    a, b = mpmath.mpf(args.a), mpmath.mpf(args.b)
+                    exact = mpmath.hyp2f1(a, b, a + b + args.m, 1 - mpmath.mpf(w))
+                    err = float(abs(mpmath.mpf(res.value) - exact))
+                location = f"{name} at p={p!r}, q={q!r}, w={w!r}"
+                assert err <= 1e-14 * abs(float(exact)), location
+                assert err <= res.err_estimate, location
+
+    def test_argument_rounded_to_one_uses_the_complement(self):
+        w = 1e-20
+        res = gauss_2f1(HypArgs(0.5, 0.5, 1.0, 1.0 - w, 0, w))
+        assert res.method == "connection"
+        with mpmath.workdps(40):
+            exact = float(mpmath.hyp2f1(0.5, 0.5, 1, 1 - mpmath.mpf(w)))
+        assert res.value == pytest.approx(exact, rel=1e-14)
+
+    def test_integer_gap_of_a_public_call_is_decided_exactly(self):
+        # c - a - b = 1 exactly in rationals: the caller need not pass m.
+        res = gauss_2f1(HypArgs(0.25, 0.5, 1.75, 0.99))
+        assert res.method == "connection"
+        exact = float(mpmath.hyp2f1(0.25, 0.5, 1.75, 0.99))
+        assert res.value == pytest.approx(exact, rel=1e-14)
+
+    def test_large_parameters_against_mpmath(self):
+        # Gamma(c) overflows a double at c = 200 (gap 199) and at c = 180; for
+        # a = b = 90 the log series cancels and the quadrature takes over.
+        for a, b, c in ((0.5, 0.5, 200.0), (90.0, 90.0, 180.0)):
+            res = gauss_2f1(HypArgs(a, b, c, 0.95))
+            with mpmath.workdps(30):
+                exact = mpmath.hyp2f1(a, b, c, mpmath.mpf(0.95))
+                err = float(abs(mpmath.mpf(res.value) - exact))
+            assert err <= 1e-13 * abs(float(exact)), (a, b, c)
+            assert err <= res.err_estimate, (a, b, c)
+
+    def test_non_integer_gap_keeps_the_quadrature_route(self):
+        res = gauss_2f1(HypArgs(0.5, 0.5, 1.3, 0.95))
+        assert res.method == "euler_quadrature"
+        exact = float(mpmath.hyp2f1(0.5, 0.5, 1.3, 0.95))
+        assert res.value == pytest.approx(exact, rel=1e-12)
+
+    def test_rejects_a_wrong_gap_or_complement(self):
+        with pytest.raises(DomainError, match="m=1"):
+            HypArgs(0.5, 0.5, 1.0, 0.95, m=1)
+        with pytest.raises(DomainError, match="complement"):
+            HypArgs(0.5, 0.5, 1.0, 0.95, m=0, w=0.5)
 
 
 class TestEvalResultArithmetic:
@@ -213,6 +286,12 @@ class TestEvalResultArithmetic:
     def test_negative_scale_keeps_the_error_non_negative(self):
         scaled = -3.0 * special.EvalResult(2.0, 0.25, "euler_quadrature")
         assert scaled == special.EvalResult(-6.0, 0.75, "euler_quadrature")
+
+    def test_results_and_arguments_use_slots(self):
+        assert not hasattr(special.EvalResult(1.0, 0.0, "series"), "__dict__")
+        args = HypArgs(0.5, 0.5, 1.0, 0.5)
+        assert not hasattr(args, "__dict__")
+        assert dataclasses.replace(args, z=0.25) == HypArgs(0.5, 0.5, 1.0, 0.25)
 
     def test_route_tags_join_their_distinct_parts(self):
         def tagged(method):

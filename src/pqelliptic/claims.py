@@ -177,7 +177,7 @@ def _claim_lemma23(grid: ScanGrid, tol: float, result: ClaimResult) -> list[str]
     for p, q, params in _grid_params(grid):
         alpha, rho, sigma = d._derivative_front(params)
         for r in (0.3, 0.5, 0.7):
-            res = abs(contiguous_residual(sigma, alpha, rho, 1.0 - r ** p, m=0))
+            res = abs(contiguous_residual(sigma, alpha, rho, 1.0 - r ** p))
             result.residual(res, tol, {"p": p, "q": q, "r": r})
 
 
@@ -221,8 +221,8 @@ def _claim_euler_coherence(grid: ScanGrid, tol: float, result: ClaimResult) -> l
     for p, q, params in _grid_params(grid):
         for r in grid.r.points():
             z = r ** p
-            first_kind = el._complete_args(params, 0, z)
-            second_kind = el._complete_args(params, 1, z)
+            first_kind = el._complete_args(params, True, z)
+            second_kind = el._complete_args(params, False, z)
             # a and b swapped (2F1 is symmetric in them): the oracle needs c > b > 0
             second_kind = replace(second_kind, a=second_kind.b, b=second_kind.a)
             for tag, args in (("K", first_kind), ("E", second_kind)):
@@ -238,7 +238,7 @@ def _claim_gauss_boundary(grid: ScanGrid, tol: float, result: ClaimResult) -> li
         for q in q_probes:
             params = PQParams(p, q)
             # second-kind family and kernel family, both convergent at z = 1
-            for at_one in (el._complete_args(params, 1, 1.0),
+            for at_one in (el._complete_args(params, False, 1.0),
                            d._kernel_args(params.inv_q, params.inv_p, 1.0)):
                 limit = gauss_value_at_one(at_one.a, at_one.b, at_one.c)
                 diffs = [abs(gauss_2f1(replace(at_one, z=z)).value - limit)

@@ -69,7 +69,7 @@ class DeltaConstants:
 def _kernel_args(a: float, b: float, x: float, w: float | None = None) -> HypArgs:
     """(a, 1 - b; 2 + a - b; x), c - a - b = 1: the 2F1 of the kernel closed
     form; w is 1 - x."""
-    return HypArgs(a, 1.0 - b, 2.0 + a - b, x, 1, w)
+    return HypArgs(a, 1.0 - b, 2.0 + a - b, x, w)
 
 
 def _kernel_coefficient(a: float, b: float) -> float:
@@ -101,10 +101,10 @@ def H_def(a: float, b: float, r: float) -> float:
             " subtracts nearly equal values; use the closed form instead",
             CancellationWarning, stacklevel=2)
     prefactor = pi_pq(1.0 / b, 1.0 / a) / (2.0 * x)
-    first = gauss_2f1(HypArgs(a, -b, 1.0 + a - b, x, 1, w)).value
+    first = gauss_2f1(HypArgs(a, -b, 1.0 + a - b, x, w)).value
     if w == 0.0:
         return prefactor * first
-    second = gauss_2f1(HypArgs(a, 1.0 - b, 1.0 + a - b, x, 0, w)).value
+    second = gauss_2f1(HypArgs(a, 1.0 - b, 1.0 + a - b, x, w)).value
     return prefactor * (first - w * second)
 
 
@@ -180,7 +180,7 @@ def delta_prime_result(params: PQParams, r: float) -> EvalResult:
     a1, b1, c1 = _derivative_front(params)
     x, w = elliptic._power_pair(params.p, r)
     return DeltaConstants.for_params(params).eta * r ** (params.p - 1.0) * (
-        gauss_2f1(HypArgs(a1, b1, c1, x, 0, w)) + gauss_2f1(HypArgs(a1, b1, c1, w, 0, x)))
+        gauss_2f1(HypArgs(a1, b1, c1, x, w)) + gauss_2f1(HypArgs(a1, b1, c1, w, x)))
 
 
 def delta_prime(params: PQParams, r: float) -> float:
@@ -202,10 +202,10 @@ def _curvature_terms(
         raise DomainError(f"curvature requires r in (0, 1), got r={r}")
     a1, b1, c1 = _derivative_front(params)
     x, y = elliptic._power_pair(params.p, r)
-    f1x = gauss_2f1(HypArgs(a1, b1, c1, x, 0, y))
-    f1y = gauss_2f1(HypArgs(a1, b1, c1, y, 0, x))
-    f2x = gauss_2f1(HypArgs(a1 + 1.0, b1 + 1.0, c1 + 1.0, x, -1, y))
-    f2y = gauss_2f1(HypArgs(a1 + 1.0, b1 + 1.0, c1 + 1.0, y, -1, x))
+    f1x = gauss_2f1(HypArgs(a1, b1, c1, x, y))
+    f1y = gauss_2f1(HypArgs(a1, b1, c1, y, x))
+    f2x = gauss_2f1(HypArgs(a1 + 1.0, b1 + 1.0, c1 + 1.0, x, y))
+    f2y = gauss_2f1(HypArgs(a1 + 1.0, b1 + 1.0, c1 + 1.0, y, x))
     return x, a1 * b1 / c1, f1x, f1y, f2x, f2y
 
 

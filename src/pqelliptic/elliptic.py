@@ -64,26 +64,27 @@ def K_pq(params: PQParams, r: float) -> EvalResult:
     """
     if not 0.0 <= r < 1.0:
         raise DomainError(f"first-kind integral requires r in [0, 1), got r={r}")
-    return _complete_integral(params, 0, *_power_pair(params.p, r))
+    return _complete_integral(params, True, *_power_pair(params.p, r))
 
 
 def E_pq(params: PQParams, r: float) -> EvalResult:
     """Complete integral of the second kind; strictly decreasing, finite at r = 1."""
     if not 0.0 <= r <= 1.0:
         raise DomainError(f"second-kind integral requires r in [0, 1], got r={r}")
-    return _complete_integral(params, 1, *_power_pair(params.p, r))
+    return _complete_integral(params, False, *_power_pair(params.p, r))
 
 
-def _complete_args(params: PQParams, m: int, z: float, w: float | None = None) -> HypArgs:
-    """(1/q, b; 1 - 1/p + 1/q; z), with c - a - b = m: m = 0 is the first-kind
-    family (b = 1 - 1/p), m = 1 the second (b = -1/p); w is 1 - z."""
-    b = 1.0 - params.inv_p if m == 0 else -params.inv_p
-    return HypArgs(params.inv_q, b, 1.0 - params.inv_p + params.inv_q, z, m, w)
+def _complete_args(params: PQParams, first_kind: bool, z: float,
+                   w: float | None = None) -> HypArgs:
+    """(1/q, b; 1 - 1/p + 1/q; z): b = 1 - 1/p for the first-kind family
+    (c - a - b = 0), b = -1/p for the second (c - a - b = 1); w is 1 - z."""
+    b = 1.0 - params.inv_p if first_kind else -params.inv_p
+    return HypArgs(params.inv_q, b, 1.0 - params.inv_p + params.inv_q, z, w)
 
 
-def _complete_integral(params: PQParams, m: int, z: float, w: float) -> EvalResult:
-    """(pi_pq / 2) * 2F1 of the family selected by m, at z = r**p with w = 1 - z."""
-    return 0.5 * params.pi_pq * gauss_2f1(_complete_args(params, m, z, w))
+def _complete_integral(params: PQParams, first_kind: bool, z: float, w: float) -> EvalResult:
+    """(pi_pq / 2) * 2F1 of the selected family, at z = r**p with w = 1 - z."""
+    return 0.5 * params.pi_pq * gauss_2f1(_complete_args(params, first_kind, z, w))
 
 
 def _complementary_pair(params: PQParams, r: float) -> tuple[float, float]:
@@ -96,12 +97,12 @@ def _complementary_pair(params: PQParams, r: float) -> tuple[float, float]:
 
 def K_comp(params: PQParams, r: float) -> EvalResult:
     """First-kind integral at the complementary modulus."""
-    return _complete_integral(params, 0, *_complementary_pair(params, r))
+    return _complete_integral(params, True, *_complementary_pair(params, r))
 
 
 def E_comp(params: PQParams, r: float) -> EvalResult:
     """Second-kind integral at the complementary modulus."""
-    return _complete_integral(params, 1, *_complementary_pair(params, r))
+    return _complete_integral(params, False, *_complementary_pair(params, r))
 
 
 def euler_integral_oracle(args: HypArgs) -> EvalResult:
@@ -200,8 +201,7 @@ def _borwein(a: float, s: float, r: float, first_kind: bool) -> float:
         raise DomainError(f"first-kind value requires r in [0, 1), got r={r}")
     if not first_kind and not 0.0 <= r <= 1.0:
         raise DomainError(f"second-kind value requires r in [0, 1], got r={r}")
-    # c - a - b is 0 for the first kind and 1 for the second
-    return gauss_2f1(HypArgs(a, 0.5 + s, 1.0, r * r, 0 if first_kind else 1)).value
+    return gauss_2f1(HypArgs(a, 0.5 + s, 1.0, r * r)).value
 
 
 def takeuchi_bridge_residual(s: float, r: float) -> float:

@@ -10,6 +10,7 @@ placements, which disagree for p != q.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .special import DomainError, beta, inc_beta
@@ -67,7 +68,8 @@ def sin_pq(params: PQParams, t: float) -> float:
 
     Newton iteration with the exact inverse-function derivative, bracketed
     by bisection; pure bisection takes over in the last 1e-3 of the upper
-    bracket where the arcsine derivative blows up.
+    bracket where the arcsine derivative blows up. Stops at a bracket two
+    ulps wide; raises DomainError if 200 iterations do not reach one.
     """
     half = params.half_period
     if t < 0.0 or t > half:
@@ -89,8 +91,8 @@ def sin_pq(params: PQParams, t: float) -> float:
             hi = x
         else:
             lo = x
-        if hi - lo < 1e-16:
-            break
+        if hi - lo <= 2.0 * math.ulp(hi):
+            return x
         if x > 1.0 - 1e-3:
             x = 0.5 * (lo + hi)
             continue
@@ -99,4 +101,4 @@ def sin_pq(params: PQParams, t: float) -> float:
         if candidate <= lo or candidate >= hi:
             candidate = 0.5 * (lo + hi)
         x = candidate
-    return x
+    raise DomainError(f"sin_pq did not converge in 200 iterations for t={t}")

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .quadrature import tanh_sinh_01
 
@@ -53,35 +52,43 @@ class HypArgs:
 
     a, b and c must be finite, c must not be a non-positive integer (poles
     of the coefficients) and z is restricted to [0, 1]; z = 1 is only
-    evaluable when c - a - b > 0. A caller that knows them passes m, the
-    exact integer c - a - b of its family, and w, the complement 1 - z to
-    full relative precision (z may then round to 1 while w > 0).
+    evaluable when c - a - b > 0. A caller that knows it passes w, the
+    complement 1 - z to full relative precision (z may then round to 1
+    while w > 0); `gauss_2f1` decides itself whether c - a - b is an integer.
     """
 
     a: float
     b: float
     c: float
     z: float
-    m: int | None = None
     w: float | None = None
 
     def __post_init__(self) -> None:
-        a, b, c, z, m, w = self.a, self.b, self.c, self.z, self.m, self.w
+        a, b, c, z, w = self.a, self.b, self.c, self.z, self.w
         if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
             raise DomainError(f"a, b and c must be finite, got a={a}, b={b}, c={c}")
         if c <= 0 and c == math.floor(c):
             raise DomainError(f"c must not be a non-positive integer, got c={c}")
         if not 0.0 <= z <= 1.0:
             raise DomainError(f"z must lie in [0, 1], got z={z}")
-        if m is not None and not (isinstance(m, int)
-                                  and abs(c - a - b - m) <= 1e-12 * (1.0 + abs(a) + abs(b))):
-            raise DomainError(f"m={m} is not c - a - b for a={a}, b={b}, c={c}")
         if w is not None and not (0.0 <= w <= 1.0 and abs(z - 1.0 + w) <= 1e-14):
             raise DomainError(f"w={w} is not the complement of z={z}")
 
     @property
     def convergent_at_one(self) -> bool:
-        return self.m > 0 if self.m is not None else self.c - self.a - self.b > 0.0
+        m = _integer_gap(self.a, self.b, self.c)
+        return m > 0 if m is not None else self.c - self.a - self.b > 0.0
+
+
+def _integer_gap(a: float, b: float, c: float) -> int | None:
+    """m = round(c - a - b) when the gap is within 8 eps (1 + |a| + |b| + |c|) of
+    it, else None: families formed in floating point (1/q, 1 - 1/p, ...) sit a
+    few ulps off their integer. Cephes' hyp2f1 picks its log case alike."""
+    gap = c - a - b
+    if not math.isfinite(gap):  # a, b, c near the double range
+        return None
+    m = round(gap)
+    return m if abs(gap - m) <= 8.0 * _EPS * (1.0 + abs(a) + abs(b) + abs(c)) else None
 
 
 @dataclass(frozen=True, slots=True)
@@ -144,22 +151,19 @@ def inc_beta(z: float, a: float, b: float) -> float:
         return beta(a, b)
     # B(z; a, b) = z^a / a * 2F1(a, 1 - b; a + 1; z) (DLMF 8.17.8). Past the pivot
     # the complement converges faster; its argument stays under 2/3 as b <= 1.
-    # Below it the series hits the term cap only for large a, as the pivot nears 1.
+    # Below it only a large a, as the pivot nears 1, hits the term cap (and raises).
     if z < (a + 1.0) / (a + b + 2.0):
-        value, _, converged = _series_2f1(a, 1.0 - b, a + 1.0, z)
-        if not converged:
-            raise DomainError(f"incomplete beta series did not converge for a={a}, b={b}, z={z}")
-        return z ** a / a * value
+        return z ** a / a * _series_2f1(a, 1.0 - b, a + 1.0, z)[0]
     w = 1.0 - z
     return beta(a, b) - w ** b / b * _series_2f1(b, 1.0 - a, b + 1.0, w)[0]
 
 
-def _series_2f1(a: float, b: float, c: float, z: float) -> tuple[float, float, bool]:
+def _series_2f1(a: float, b: float, c: float, z: float) -> tuple[float, float]:
     """Direct power series with running-ratio term recurrence.
 
-    Returns (value, err_estimate, converged). The error estimate is the
-    first omitted term inflated by the geometric tail bound
-    |t_next| / (1 - |t_next / t_last|).
+    Returns (value, err_estimate): the first omitted term inflated by the
+    geometric tail bound |t_next| / (1 - |t_next / t_last|). Raises
+    DomainError when MAX_TERMS terms do not meet the stopping rule.
     """
     term = 1.0
     total = 1.0
@@ -169,17 +173,14 @@ def _series_2f1(a: float, b: float, c: float, z: float) -> tuple[float, float, b
         total += new
         n += 1
         if abs(new) < _SERIES_TOL * abs(total) and abs(new) <= abs(term):
-            nxt = new * (a + n) * (b + n) * z / ((c + n) * (n + 1.0))
             if new == 0.0:
-                return total, 0.0, True
+                return total, 0.0
+            nxt = new * (a + n) * (b + n) * z / ((c + n) * (n + 1.0))
             ratio = abs(nxt / new)
-            err = abs(nxt) / (1.0 - ratio) if ratio < 1.0 else math.inf
-            return total, err, True
+            return total, abs(nxt) / (1.0 - ratio) if ratio < 1.0 else math.inf
         term = new
-    # Cap reached: report the geometric tail bound for the unconverged sum.
-    ratio = abs(new / term) if term != 0.0 else 0.0
-    err = abs(new) / (1.0 - ratio) if 0.0 < ratio < 1.0 else math.inf
-    return total, err, False
+    raise DomainError(f"2F1 series did not converge in {MAX_TERMS} terms "
+                      f"for a={a}, b={b}, c={c}, z={z}")
 
 
 def _euler_2f1(a: float, b: float, c: float, w: float) -> EvalResult | None:
@@ -210,12 +211,6 @@ def _digamma(x: float) -> float:
     s = 1.0 / (x * x)
     tail = s * (1 / 12 - s * (1 / 120 - s * (1 / 252 - s * (1 / 240 - s / 132))))
     return math.log(x) - 0.5 / x - tail - shift
-
-
-def _exact_gap(a: float, b: float, c: float) -> int | None:
-    """c - a - b when it is an integer in exact rational arithmetic, else None."""
-    gap = Fraction(c) - Fraction(a) - Fraction(b)
-    return int(gap) if gap.denominator == 1 else None
 
 
 def _gamma_ratio(num: tuple[float, ...], den: tuple[float, ...]) -> tuple[float, float]:
@@ -313,20 +308,19 @@ def gauss_2f1(args: HypArgs) -> EvalResult:
     """Gauss hypergeometric function on [0, 1] with an error estimate.
 
     Series with tail-bound stopping up to z = 0.9. Above that, the 1 - z
-    connection formula in w = 1 - z when c - a - b is an integer m (taken
-    from args.m, or else decided in exact rationals); otherwise, or when
-    its estimate exceeds 1e-13 relative and the quadrature's is smaller,
-    the Euler-integral quadrature, or the series up to MAX_TERMS when no
-    Euler ordering is valid. Exactly at z = 1 (w = 0) the gamma-ratio
-    closed form, which requires c - a - b > 0. A value past the double
-    range raises DivergenceError.
+    connection formula in w = 1 - z when c - a - b is within rounding of an
+    integer m (and is then taken as m); otherwise, or when its estimate
+    exceeds 1e-13 relative and the quadrature's is smaller, the Euler-integral
+    quadrature, or the series when no Euler ordering is valid. Exactly at
+    z = 1 (w = 0) the gamma-ratio closed form, which requires c - a - b > 0.
+    A series past MAX_TERMS terms raises DomainError, a value past the
+    double range DivergenceError.
     """
     a, b, c, z = args.a, args.b, args.c, args.z
     if z <= SERIES_SWITCH:
-        value, err, _ = _series_2f1(a, b, c, z)
-        return EvalResult(value, err, METHOD_SERIES)
+        return EvalResult(*_series_2f1(a, b, c, z), METHOD_SERIES)
     w = 1.0 - z if args.w is None else args.w
-    m = args.m if args.m is not None else _exact_gap(a, b, c)
+    m = _integer_gap(a, b, c)
     if w == 0.0:
         gap = c - a - b if m is None else m
         if gap <= 0.0:
@@ -343,8 +337,7 @@ def gauss_2f1(args: HypArgs) -> EvalResult:
         if euler is not None and (result is None or euler.err_estimate < result.err_estimate):
             result = euler
     if result is None:
-        value, err, _ = _series_2f1(a, b, c, z)
-        return EvalResult(value, err, METHOD_SERIES)
+        return EvalResult(*_series_2f1(a, b, c, z), METHOD_SERIES)
     if not math.isfinite(result.value):
         raise DivergenceError(f"2F1 exceeds the double range at z={z}, w={w}")
     return result
@@ -371,24 +364,20 @@ def f21_derivative(args: HypArgs) -> float:
     """d/dz of 2F1 at z < 1: (ab/c) * 2F1(a+1, b+1; c+1; z)."""
     if args.z >= 1.0:
         raise DomainError(f"derivative requires z < 1, got z={args.z}")
-    m = None if args.m is None else args.m - 1
-    shifted = HypArgs(args.a + 1.0, args.b + 1.0, args.c + 1.0, args.z, m, args.w)
+    shifted = HypArgs(args.a + 1.0, args.b + 1.0, args.c + 1.0, args.z, args.w)
     return args.a * args.b / args.c * gauss_2f1(shifted).value
 
 
-def contiguous_residual(sigma: float, alpha: float, rho: float, z: float,
-                        m: int | None = None) -> float:
+def contiguous_residual(sigma: float, alpha: float, rho: float, z: float) -> float:
     """Residual of the three-term contiguous relation at (sigma, alpha, rho, z).
 
     Returns (sigma-rho)*F(alpha,rho;sigma+1;z) - sigma*F(alpha,rho;sigma;z)
     + rho*F(alpha,rho+1;sigma+1;z); its magnitude bounds the violation of
-    the identity, which is exactly zero in real arithmetic. m, when given,
-    is the exact integer sigma - alpha - rho.
+    the identity, which is exactly zero in real arithmetic.
     """
     if not 0.0 <= z < 1.0:
         raise DomainError(f"contiguous residual requires z in [0, 1), got z={z}")
-    up = None if m is None else m + 1
-    f_up = gauss_2f1(HypArgs(alpha, rho, sigma + 1.0, z, up)).value
-    f_mid = gauss_2f1(HypArgs(alpha, rho, sigma, z, m)).value
-    f_shift = gauss_2f1(HypArgs(alpha, rho + 1.0, sigma + 1.0, z, m)).value
+    f_up = gauss_2f1(HypArgs(alpha, rho, sigma + 1.0, z)).value
+    f_mid = gauss_2f1(HypArgs(alpha, rho, sigma, z)).value
+    f_shift = gauss_2f1(HypArgs(alpha, rho + 1.0, sigma + 1.0, z)).value
     return (sigma - rho) * f_up - sigma * f_mid + rho * f_shift

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from pqelliptic import DomainError, PQParams, arcsin_pq, pi_pq, sin_pq
+from pqelliptic import DomainError, PQParams, arcsin_pq, gentrig, pi_pq, sin_pq
 
 # Frozen from adaptive quadrature of (1 - t**2)**(-1/3) on [0, 0.7]
 # (the adopted integrand at p=3, q=2; abserr 1.4e-14).
@@ -107,6 +107,20 @@ class TestSin:
                 fd = (sin_pq(params, t + h) - sin_pq(params, t - h)) / (2.0 * h)
                 s = sin_pq(params, t)
                 assert fd == pytest.approx((1.0 - s ** q) ** (1.0 / p), abs=1e-6)
+
+    def test_stops_once_the_bracket_is_two_ulps_wide(self, monkeypatch):
+        # In [0.5, 1) adjacent floats are 1.1e-16 apart, so a bracket width
+        # test against a fixed 1e-16 never fired and all 200 iterations ran.
+        params = PQParams(2.0, 3.0)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return arcsin_pq(*args)
+
+        monkeypatch.setattr(gentrig, "arcsin_pq", counted)
+        assert sin_pq(params, 0.9999 * params.half_period) == 0.9999999852541401
+        assert len(calls) <= 60
 
     def test_domain(self):
         params = PQParams(2.0, 2.0)

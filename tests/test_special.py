@@ -6,6 +6,7 @@ import random
 
 import mpmath
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
@@ -14,6 +15,7 @@ from pqelliptic import (
     DivergenceError,
     DomainError,
     HypArgs,
+    K_pq,
     PQParams,
     beta,
     contiguous_residual,
@@ -27,6 +29,7 @@ from pqelliptic import (
     special,
 )
 from pqelliptic import delta_analysis, elliptic
+from pqelliptic.cli import main
 
 # Frozen from the adaptive-quadrature oracle of the defining integral
 # (Gauss-Kronrod with algebraic endpoint weights, abserr 3.0e-14).
@@ -191,13 +194,16 @@ class TestGauss2F1:
                     gauss_2f1(HypArgs(a, b, c, 0.5))
 
     def test_max_terms_env_override(self, monkeypatch):
-        # A capped series still reports an error estimate covering its truncation.
-        args = HypArgs(0.5, 0.5, 1.0, 0.64)
-        full = gauss_2f1(args)
+        # A series the term cap cuts short is refused, not returned truncated.
         monkeypatch.setattr(special, "MAX_TERMS", 5)
-        capped = gauss_2f1(args)
-        assert capped.err_estimate > full.err_estimate
-        assert abs(capped.value - full.value) <= capped.err_estimate
+        with pytest.raises(DomainError, match="did not converge"):
+            gauss_2f1(HypArgs(0.5, 0.5, 1.0, 0.64))
+        with pytest.raises(DomainError, match="did not converge"):
+            K_pq(PQParams(2.0, 2.0), 0.8)
+        result = CliRunner().invoke(main, ["eval", "--p", "2", "--q", "2", "--r", "0.8",
+                                           "--quantity", "K"])
+        assert result.exit_code == 2
+        assert "did not converge" in result.output
 
     def test_quadrature_route_above_switch(self):
         res = gauss_2f1(HypArgs(0.5, 0.5, 1.0, 0.95))
@@ -206,16 +212,20 @@ class TestGauss2F1:
         assert res.value == pytest.approx(exact, rel=1e-11)
 
 
+#: The exact gap m = c - a - b of each 2F1 family the library evaluates.
+_FAMILY_GAPS = {"first kind": 0, "second kind": 1, "kernel": 1, "F1": 0, "F2": -1}
+
+
 def _library_families(p, q, z, w):
-    """The five 2F1 families the library evaluates, with their exact gaps m."""
+    """The five 2F1 families the library evaluates, keyed as in _FAMILY_GAPS."""
     params = PQParams(p, q)
     a1, b1, c1 = delta_analysis._derivative_front(params)
     return {
-        "first kind": elliptic._complete_args(params, 0, z, w),
-        "second kind": elliptic._complete_args(params, 1, z, w),
+        "first kind": elliptic._complete_args(params, True, z, w),
+        "second kind": elliptic._complete_args(params, False, z, w),
         "kernel": delta_analysis._kernel_args(params.inv_q, params.inv_p, z, w),
-        "F1": HypArgs(a1, b1, c1, z, 0, w),
-        "F2": HypArgs(a1 + 1.0, b1 + 1.0, c1 + 1.0, z, -1, w),
+        "F1": HypArgs(a1, b1, c1, z, w),
+        "F2": HypArgs(a1 + 1.0, b1 + 1.0, c1 + 1.0, z, w),
     }
 
 
@@ -231,7 +241,7 @@ class TestConnectionRoute:
                 assert res.method == "connection"
                 with mpmath.workdps(30):
                     a, b = mpmath.mpf(args.a), mpmath.mpf(args.b)
-                    exact = mpmath.hyp2f1(a, b, a + b + args.m, 1 - mpmath.mpf(w))
+                    exact = mpmath.hyp2f1(a, b, a + b + _FAMILY_GAPS[name], 1 - mpmath.mpf(w))
                     err = float(abs(mpmath.mpf(res.value) - exact))
                 location = f"{name} at p={p!r}, q={q!r}, w={w!r}"
                 assert err <= 1e-14 * abs(float(exact)), location
@@ -239,14 +249,14 @@ class TestConnectionRoute:
 
     def test_argument_rounded_to_one_uses_the_complement(self):
         w = 1e-20
-        res = gauss_2f1(HypArgs(0.5, 0.5, 1.0, 1.0 - w, 0, w))
+        res = gauss_2f1(HypArgs(0.5, 0.5, 1.0, 1.0 - w, w))
         assert res.method == "connection"
         with mpmath.workdps(40):
             exact = float(mpmath.hyp2f1(0.5, 0.5, 1, 1 - mpmath.mpf(w)))
         assert res.value == pytest.approx(exact, rel=1e-14)
 
     def test_integer_gap_of_a_public_call_is_decided_exactly(self):
-        # c - a - b = 1 exactly in rationals: the caller need not pass m.
+        # c - a - b = 1 exactly: gauss_2f1 finds the integer gap itself.
         res = gauss_2f1(HypArgs(0.25, 0.5, 1.75, 0.99))
         assert res.method == "connection"
         exact = float(mpmath.hyp2f1(0.25, 0.5, 1.75, 0.99))
@@ -270,10 +280,48 @@ class TestConnectionRoute:
         assert res.value == pytest.approx(exact, rel=1e-12)
 
     def test_rejects_a_wrong_gap_or_complement(self):
-        with pytest.raises(DomainError, match="m=1"):
-            HypArgs(0.5, 0.5, 1.0, 0.95, m=1)
         with pytest.raises(DomainError, match="complement"):
-            HypArgs(0.5, 0.5, 1.0, 0.95, m=0, w=0.5)
+            HypArgs(0.5, 0.5, 1.0, 0.95, w=0.5)
+
+    def test_derived_gap_of_every_library_family(self):
+        # Each family's parameters are rounded floats, so its gap c - a - b
+        # sits a few ulps off the integer; the derived gap must still be it.
+        rng = random.Random(20261019)
+        for i in range(4000):
+            if i % 2:  # uniform on (1, 1000]
+                p, q = (1.0 + 999.0 * (1.0 - rng.random()) for _ in range(2))
+            else:  # log-uniform in p - 1, down to 1e-9
+                p, q = (1.0 + 10.0 ** rng.uniform(-9.0, 3.0) for _ in range(2))
+            for name, args in _library_families(p, q, 0.5, None).items():
+                assert special._integer_gap(args.a, args.b, args.c) == _FAMILY_GAPS[name], (
+                    name, p, q)
+        # c - a - b past the double range is no integer (and does not raise).
+        assert special._integer_gap(-1e308, -1e308, 1e308) is None
+
+    def test_float_rounded_zero_gap_diverges_at_one(self):
+        # c - a - b is +2.8e-17 in floating point here, but the family is K's.
+        params = PQParams(1.11, 5.37)
+        args = elliptic._complete_args(params, True, 1.0)
+        assert args.c - args.a - args.b > 0.0
+        with pytest.raises(DivergenceError):
+            gauss_2f1(args)
+        with pytest.raises(DivergenceError):
+            euler_integral_oracle(args)
+
+    def test_public_gap_near_an_integer(self):
+        # A gap within rounding of an integer m is evaluated as the family of
+        # m; the relative error that costs is about |delta| |ln w| / 2.
+        for a, b, c in ((0.5, 0.5, 1.0 + 3e-15), (0.5, 0.5, 1.0 - 3e-15),
+                        (0.25, 0.5, 1.75 + 3e-15)):
+            delta = c - round(c - a - b) - a - b
+            for w in (1e-12, 1e-8, 1e-4, 0.05):
+                res = gauss_2f1(HypArgs(a, b, c, 1.0 - w, w))
+                assert res.method == "connection"
+                with mpmath.workdps(50):
+                    exact = mpmath.hyp2f1(a, b, c, 1 - mpmath.mpf(w))
+                    rel = float(abs((mpmath.mpf(res.value) - exact) / exact))
+                assert rel <= abs(delta) * abs(math.log(w)) + 1e-14, (a, b, c, w)
+        assert gauss_2f1(HypArgs(0.5, 0.5, 1.0 + 1e-9, 0.95)).method == "euler_quadrature"
 
 
 class TestEvalResultArithmetic:

@@ -72,9 +72,11 @@ def _kernel_args(a: float, b: float, x: float, w: float | None = None) -> HypArg
     return HypArgs(a, 1.0 - b, 2.0 + a - b, x, w)
 
 
-def _kernel_coefficient(a: float, b: float) -> float:
-    """(1 - b) * pi_{1/b,1/a} / (2 * (1 + a - b)): the kernel's value at r = 0."""
-    return (1.0 - b) * pi_pq(1.0 / b, 1.0 / a) / (2.0 * (1.0 + a - b))
+def _kernel(a: float, b: float, x: float, w: float) -> EvalResult:
+    """The kernel closed form at x = r**(1/b), w = 1 - x: its value at r = 0,
+    (1 - b) * pi_{1/b,1/a} / (2 * (1 + a - b)), times the 2F1 of _kernel_args."""
+    coefficient = (1.0 - b) * pi_pq(1.0 / b, 1.0 / a) / (2.0 * (1.0 + a - b))
+    return coefficient * gauss_2f1(_kernel_args(a, b, x, w))
 
 
 def _check_kernel_parameters(a: float, b: float) -> None:
@@ -117,8 +119,7 @@ def H_closed(a: float, b: float, r: float) -> float:
     _check_kernel_parameters(a, b)
     if not 0.0 <= r <= 1.0:
         raise DomainError(f"closed kernel form requires r in [0, 1], got r={r}")
-    x, w = elliptic._power_pair(1.0 / b, r)
-    return (_kernel_coefficient(a, b) * gauss_2f1(_kernel_args(a, b, x, w))).value
+    return _kernel(a, b, *elliptic._power_pair(1.0 / b, r)).value
 
 
 def delta_result(params: PQParams, r: float) -> EvalResult:
@@ -130,10 +131,8 @@ def delta_result(params: PQParams, r: float) -> EvalResult:
         limit = constants.delta0 if r == 0.0 else constants.delta1
         return EvalResult(limit, 1e-15 * abs(limit), METHOD_GAUSS_CLOSED_FORM)
     a, b = params.inv_q, params.inv_p
-    coefficient = _kernel_coefficient(a, b)
     x, w = elliptic._power_pair(params.p, r)
-    return (coefficient * gauss_2f1(_kernel_args(a, b, x, w))
-            - coefficient * gauss_2f1(_kernel_args(a, b, w, x)))
+    return _kernel(a, b, x, w) - _kernel(a, b, w, x)
 
 
 def delta(params: PQParams, r: float) -> float:

@@ -27,7 +27,7 @@ from .special import (
 
 @dataclass(frozen=True)
 class Modulus:
-    """A modulus r in (0, 1) paired with its complement (1 - r**p)**(1/p).
+    """A modulus r in (0, 1) and its complement (1 - r**p)**(1/p), with 1 - r**p exact.
 
     Both values are stored so that taking the complement is an exact swap,
     making the involution r -> r' -> r hold to the last bit.
@@ -38,9 +38,7 @@ class Modulus:
 
     @classmethod
     def for_params(cls, params: PQParams, r: float) -> "Modulus":
-        if not 0.0 < r < 1.0:
-            raise DomainError(f"modulus must lie in (0, 1), got r={r}")
-        return cls(r, (1.0 - r ** params.p) ** params.inv_p)
+        return cls(r, _complementary_pair(params, r)[0] ** params.inv_p)
 
     def complement(self) -> "Modulus":
         return Modulus(self.r_comp, self.r)

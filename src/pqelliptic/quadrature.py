@@ -41,25 +41,23 @@ def tanh_sinh_01(
     The step is halved until two successive trapezoid estimates agree to
     the requested tolerance; the reported error is the last inter-level
     difference, an upper bound on the refinement residual actually seen.
+    Raises DomainError when max_level halvings do not reach the tolerance.
     """
-    h = 1.0
+    # Level 0 visits every node k*h (stride 1); each halving adds the odd ones.
+    h, stride = 1.0, 1
     raw = _contribution(f, 0.0)
-    k = 1
-    while k * h <= _U_MAX:
-        raw += _contribution(f, k * h) + _contribution(f, -k * h)
-        k += 1
-    estimate = raw * h
-    err = math.inf
-    for _ in range(max_level):
-        h *= 0.5
+    estimate = math.nan  # level 0 has no estimate to compare against
+    for _ in range(max_level + 1):
         k = 1
         while k * h <= _U_MAX:
             raw += _contribution(f, k * h) + _contribution(f, -k * h)
-            k += 2
+            k += stride
         refined = raw * h
         err = abs(refined - estimate)
         estimate = refined
         if err <= rel_tol * abs(estimate):
-            break
-    return estimate, err
-
+            return estimate, err
+        h, stride = 0.5 * h, 2
+    from .special import DomainError  # special imports this module
+    raise DomainError(f"tanh-sinh quadrature did not converge in {max_level} levels "
+                      f"(last estimate {estimate!r}, last difference {err!r})")

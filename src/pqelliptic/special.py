@@ -76,8 +76,7 @@ class HypArgs:
 
     @property
     def convergent_at_one(self) -> bool:
-        m = _integer_gap(self.a, self.b, self.c)
-        return m > 0 if m is not None else self.c - self.a - self.b > 0.0
+        return _gap_at_one(self.a, self.b, self.c) > 0.0
 
 
 def _integer_gap(a: float, b: float, c: float) -> int | None:
@@ -89,6 +88,12 @@ def _integer_gap(a: float, b: float, c: float) -> int | None:
         return None
     m = round(gap)
     return m if abs(gap - m) <= 8.0 * _EPS * (1.0 + abs(a) + abs(b) + abs(c)) else None
+
+
+def _gap_at_one(a: float, b: float, c: float) -> float:
+    """c - a - b as it decides convergence at z = 1: the integer gap when there is one."""
+    m = _integer_gap(a, b, c)
+    return c - a - b if m is None else m
 
 
 @dataclass(frozen=True, slots=True)
@@ -313,20 +318,17 @@ def gauss_2f1(args: HypArgs) -> EvalResult:
     exceeds 1e-13 relative and the quadrature's is smaller, the Euler-integral
     quadrature, or the series when no Euler ordering is valid. Exactly at
     z = 1 (w = 0) the gamma-ratio closed form, which requires c - a - b > 0.
-    A series past MAX_TERMS terms raises DomainError, a value past the
-    double range DivergenceError.
+    A series past MAX_TERMS terms, or a result without a finite error
+    estimate, raises DomainError, a value past the double range DivergenceError.
     """
     a, b, c, z = args.a, args.b, args.c, args.z
     if z <= SERIES_SWITCH:
         return EvalResult(*_series_2f1(a, b, c, z), METHOD_SERIES)
     w = 1.0 - z if args.w is None else args.w
-    m = _integer_gap(a, b, c)
     if w == 0.0:
-        gap = c - a - b if m is None else m
-        if gap <= 0.0:
-            raise DivergenceError(f"2F1 diverges at z=1 when c-a-b <= 0 (got c-a-b={gap})")
         value = gauss_value_at_one(a, b, c)
         return EvalResult(value, 8e-16 * abs(value), METHOD_GAUSS_CLOSED_FORM)
+    m = _integer_gap(a, b, c)
     result = None
     if m is not None and not _polynomial_case(a, b, m):
         result = EvalResult(*_connection_2f1(a, b, m, w), METHOD_CONNECTION)
@@ -337,27 +339,29 @@ def gauss_2f1(args: HypArgs) -> EvalResult:
         if euler is not None and (result is None or euler.err_estimate < result.err_estimate):
             result = euler
     if result is None:
-        return EvalResult(*_series_2f1(a, b, c, z), METHOD_SERIES)
+        result = EvalResult(*_series_2f1(a, b, c, z), METHOD_SERIES)
     if not math.isfinite(result.value):
         raise DivergenceError(f"2F1 exceeds the double range at z={z}, w={w}")
+    if not math.isfinite(result.err_estimate):
+        raise DomainError(f"2F1 did not converge for a={a}, b={b}, c={c}, z={z}, w={w}")
     return result
 
 
 def gauss_value_at_one(a: float, b: float, c: float) -> float:
     """Value of 2F1(a, b; c; 1) via the gamma-ratio closed form.
 
-    Requires c - a - b > 0; a = 0 or b = 0 short-circuits to 1 since
-    every term past n = 0 vanishes.
+    Requires c - a - b > 0, read as HypArgs.convergent_at_one reads it; a = 0
+    or b = 0 short-circuits to 1 since every term past n = 0 vanishes.
     """
     if a == 0.0 or b == 0.0:
         return 1.0
-    s = c - a - b
-    if s <= 0.0:
-        raise DivergenceError(f"2F1 at z=1 requires c-a-b > 0, got {s}")
+    gap = _gap_at_one(a, b, c)
+    if gap <= 0.0:
+        raise DivergenceError(f"2F1 diverges at z=1 when c-a-b <= 0 (got c-a-b={gap})")
     if c <= 0.0 or c - a <= 0.0 or c - b <= 0.0:
         raise DomainError(
             f"gamma-ratio form needs positive c, c-a, c-b; got c={c}, a={a}, b={b}")
-    return math.exp(ln_gamma(c) + ln_gamma(s) - ln_gamma(c - a) - ln_gamma(c - b))
+    return math.exp(ln_gamma(c) + ln_gamma(c - a - b) - ln_gamma(c - a) - ln_gamma(c - b))
 
 
 def f21_derivative(args: HypArgs) -> float:

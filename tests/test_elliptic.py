@@ -171,6 +171,14 @@ class TestModulus:
         m = Modulus.for_params(PQParams(p, q), r)
         assert 0.0 < m.r_comp < 1.0
 
+    def test_complement_near_one_against_mpmath(self):
+        # 1 - r**p formed in double precision costs 2.5e-11 and 5.1e-12 relative here.
+        for p, r in ((2.0, 1.0 - 1e-10), (3.0, 1.0 - 1e-6)):
+            comp = Modulus.for_params(PQParams(p, 2.0), r).r_comp
+            with mpmath.workdps(40):
+                exact = (1 - mpmath.mpf(r) ** p) ** (1 / mpmath.mpf(p))
+                assert abs(comp - exact) <= 1e-15 * exact, (p, r)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             Modulus.for_params(P22, 0.0)

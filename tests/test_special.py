@@ -30,6 +30,7 @@ from pqelliptic import (
 )
 from pqelliptic import delta_analysis, elliptic
 from pqelliptic.cli import main
+from pqelliptic.quadrature import tanh_sinh_01
 
 # Frozen from the adaptive-quadrature oracle of the defining integral
 # (Gauss-Kronrod with algebraic endpoint weights, abserr 3.0e-14).
@@ -204,6 +205,11 @@ class TestGauss2F1:
                                            "--quantity", "K"])
         assert result.exit_code == 2
         assert "did not converge" in result.output
+        # Integer gap, no Euler ordering: a connection sum cut short is refused ...
+        with pytest.raises(DomainError, match="did not converge"):
+            gauss_2f1(HypArgs(-0.5, -0.25, 0.25, 0.95))
+        # ... while one with an Euler ordering falls back on the quadrature.
+        assert gauss_2f1(HypArgs(0.5, 0.5, 1.0, 0.95)).method == "euler_quadrature"
 
     def test_quadrature_route_above_switch(self):
         res = gauss_2f1(HypArgs(0.5, 0.5, 1.0, 0.95))
@@ -307,6 +313,8 @@ class TestConnectionRoute:
             gauss_2f1(args)
         with pytest.raises(DivergenceError):
             euler_integral_oracle(args)
+        with pytest.raises(DivergenceError):
+            gauss_value_at_one(args.a, args.b, args.c)
 
     def test_public_gap_near_an_integer(self):
         # A gap within rounding of an integer m is evaluated as the family of
@@ -357,6 +365,8 @@ class TestGaussValueAtOne:
 
     def test_vanishing_parameter(self):
         assert gauss_value_at_one(0.0, 3.7, 1.2) == 1.0
+        # c - a - b = -1, but every term past n = 0 vanishes, as at z < 1.
+        assert gauss_2f1(HypArgs(0.0, 2.0, 1.0, 1.0)).value == 1.0
 
     def test_kernel_endpoint_ingredient(self):
         # (1/q, 1-1/p, 2+1/q-1/p) at p=q=2 gives the same 4/pi ratio
@@ -365,6 +375,19 @@ class TestGaussValueAtOne:
     def test_divergent(self):
         with pytest.raises(DivergenceError):
             gauss_value_at_one(1.0, 1.0, 1.5)
+
+
+class TestTanhSinh:
+    def test_refuses_when_the_levels_run_out(self):
+        # Two halvings cannot resolve cos(400 t); the last estimate, 0.0951,
+        # is far from sin(400) / 400 = -0.00213.
+        def integrand(t, tm):
+            return math.cos(400.0 * t)
+
+        with pytest.raises(DomainError, match="did not converge"):
+            tanh_sinh_01(integrand, max_level=2)
+        value, _ = tanh_sinh_01(integrand)
+        assert value == pytest.approx(math.sin(400.0) / 400.0, rel=1e-12)
 
 
 class TestDerivative:

@@ -19,7 +19,6 @@ from typing import Iterator
 from . import delta_analysis as d
 from . import elliptic as el
 from .gentrig import PQParams, arcsin_pq, pi_pq, sin_pq
-from .quadrature import tanh_sinh_01
 from .special import (
     DomainError,
     contiguous_residual,
@@ -264,22 +263,13 @@ def _claim_gentrig_roundtrip(grid: ScanGrid, tol: float, result: ClaimResult) ->
 
 
 def _integrand_convention_note(p: float, q: float) -> str:
-    """Record the two candidate arcsine-integrand conventions numerically."""
-    adopted = pi_pq(p, q)
-
-    def literal(t: float, tm: float) -> float:
-        # 1 - t**p via expm1/log1p on the t -> 1 side, direct otherwise
-        if tm < 0.5:
-            base = -math.expm1(p * math.log1p(-tm))
-        else:
-            base = 1.0 - t ** p
-        return base ** (-1.0 / q)
-
-    literal_pi, _ = tanh_sinh_01(literal, rel_tol=1e-12)
+    """Record the two candidate arcsine-integrand conventions numerically. The
+    transposed placement, twice the integral of (1 - t**p)**(-1/q) on [0, 1],
+    is (2/p) B(1/p, 1 - 1/q) = pi_{q,p} in closed form."""
     return (
         f"arcsine integrand convention at (p, q) = ({p:g}, {q:g}): adopted exponent "
-        f"placement gives half period * 2 = {adopted:.12f} matching the beta form; the "
-        f"transposed placement integrates to {2.0 * literal_pi:.12f} and is inconsistent "
+        f"placement gives half period * 2 = {pi_pq(p, q):.12f} matching the beta form; the "
+        f"transposed placement integrates to {pi_pq(q, p):.12f} and is inconsistent "
         f"with the beta form for p != q"
     )
 

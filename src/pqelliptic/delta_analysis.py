@@ -58,7 +58,7 @@ class DeltaConstants:
     @classmethod
     def for_params(cls, params: PQParams) -> "DeltaConstants":
         c1 = 1.0 + params.inv_q - params.inv_p
-        delta0 = (1.0 - params.inv_p) * params.pi_pq / (2.0 * c1) - 1.0
+        delta0 = _kernel_at_zero(params.inv_q, params.inv_p, params.pi_pq) - 1.0
         eta = (
             (params.p / params.q) * (1.0 - params.inv_p) ** 2 * params.pi_pq
             / (2.0 * c1 * (2.0 + params.inv_q - params.inv_p))
@@ -72,11 +72,10 @@ def _kernel_args(a: float, b: float, x: float, w: float | None = None) -> HypArg
     return HypArgs(a, 1.0 - b, 2.0 + a - b, x, w)
 
 
-def _kernel(a: float, b: float, x: float, w: float) -> EvalResult:
-    """The kernel closed form at x = r**(1/b), w = 1 - x: its value at r = 0,
-    (1 - b) * pi_{1/b,1/a} / (2 * (1 + a - b)), times the 2F1 of _kernel_args."""
-    coefficient = (1.0 - b) * pi_pq(1.0 / b, 1.0 / a) / (2.0 * (1.0 + a - b))
-    return coefficient * gauss_2f1(_kernel_args(a, b, x, w))
+def _kernel_at_zero(a: float, b: float, pi: float) -> float:
+    """The kernel closed form's value at r = 0, with pi = pi_{1/b,1/a}: the
+    2F1 of _kernel_args times it is the kernel at x = r**(1/b)."""
+    return (1.0 - b) * pi / (2.0 * (1.0 + a - b))
 
 
 def _check_kernel_parameters(a: float, b: float) -> None:
@@ -119,7 +118,9 @@ def H_closed(a: float, b: float, r: float) -> float:
     _check_kernel_parameters(a, b)
     if not 0.0 <= r <= 1.0:
         raise DomainError(f"closed kernel form requires r in [0, 1], got r={r}")
-    return _kernel(a, b, *elliptic._power_pair(1.0 / b, r)).value
+    x, w = elliptic._power_pair(1.0 / b, r)
+    at_zero = _kernel_at_zero(a, b, pi_pq(1.0 / b, 1.0 / a))
+    return at_zero * gauss_2f1(_kernel_args(a, b, x, w)).value
 
 
 def delta_result(params: PQParams, r: float) -> EvalResult:
@@ -132,7 +133,9 @@ def delta_result(params: PQParams, r: float) -> EvalResult:
         return EvalResult(limit, 1e-15 * abs(limit), METHOD_GAUSS_CLOSED_FORM)
     a, b = params.inv_q, params.inv_p
     x, w = elliptic._power_pair(params.p, r)
-    return _kernel(a, b, x, w) - _kernel(a, b, w, x)
+    at_zero = _kernel_at_zero(a, b, params.pi_pq)  # pi_{1/b,1/a} = pi_{p,q}
+    return (at_zero * gauss_2f1(_kernel_args(a, b, x, w))
+            - at_zero * gauss_2f1(_kernel_args(a, b, w, x)))
 
 
 def delta(params: PQParams, r: float) -> float:

@@ -58,8 +58,6 @@ def arcsin_pq(params: PQParams, x: float) -> float:
     """
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"arcsin_pq requires x in [0, 1], got x={x}")
-    if x == 0.0:
-        return 0.0
     return params.inv_q * inc_beta(x ** params.q, params.inv_q, 1.0 - params.inv_p)
 
 

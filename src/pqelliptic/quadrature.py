@@ -13,7 +13,8 @@ import math
 from typing import Callable
 
 _HALF_PI = math.pi / 2.0
-# Largest |u| before exp(pi*sinh(u)) overflows a double.
+# Largest |u| before exp(pi*sinh(u)) overflows a double. Up to it t, 1 - t and
+# the weight stay above about 1e-304, so no node contributes an exact zero.
 _U_MAX = math.asinh(700.0 / math.pi)
 
 
@@ -22,12 +23,8 @@ def _contribution(f: Callable[[float, float], float], u: float) -> float:
     ew = math.exp(w)
     t = ew / (1.0 + ew)
     tm = 1.0 / (1.0 + ew)
-    if t == 0.0 or tm == 0.0:
-        return 0.0
     ch = math.cosh(_HALF_PI * math.sinh(u))
     weight = (math.pi / 4.0) * math.cosh(u) / (ch * ch)
-    if weight == 0.0:
-        return 0.0
     return f(t, tm) * weight
 
 

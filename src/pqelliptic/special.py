@@ -11,6 +11,7 @@ concurrently.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .quadrature import tanh_sinh_01
@@ -41,6 +42,7 @@ SERIES_SWITCH = 0.9
 _SERIES_TOL = 1e-16
 _EPS = 2.0 ** -52
 _EULER_GAMMA = 0.5772156649015329
+_LOG_MAX = math.log(sys.float_info.max)  # the largest argument exp keeps finite
 #: Relative error estimate up to which a connection-formula result is kept
 #: without trying the quadrature route.
 _CONNECTION_TRUST = 1e-13
@@ -150,10 +152,6 @@ def inc_beta(z: float, a: float, b: float) -> float:
         raise DomainError(f"inc_beta requires a > 0, got a={a}")
     if not 0.0 < b <= 1.0:
         raise DomainError(f"inc_beta requires b in (0, 1], got b={b}")
-    if z == 0.0:
-        return 0.0
-    if z == 1.0:
-        return beta(a, b)
     # B(z; a, b) = z^a / a * 2F1(a, 1 - b; a + 1; z) (DLMF 8.17.8). Past the pivot
     # the complement converges faster; its argument stays under 2/3 as b <= 1.
     # Below it only a large a, as the pivot nears 1, hits the term cap (and raises).
@@ -231,7 +229,7 @@ def _gamma_ratio(num: tuple[float, ...], den: tuple[float, ...]) -> tuple[float,
         lg = math.lgamma(x)
         log += power * lg
         size += abs(lg)
-    return sign * (math.exp(log) if log < 709.0 else math.inf), size
+    return sign * (math.exp(log) if log <= _LOG_MAX else math.inf), size
 
 
 def _connection_2f1(a: float, b: float, m: int, w: float) -> tuple[float, float]:
@@ -348,20 +346,24 @@ def gauss_2f1(args: HypArgs) -> EvalResult:
 
 
 def gauss_value_at_one(a: float, b: float, c: float) -> float:
-    """Value of 2F1(a, b; c; 1) via the gamma-ratio closed form.
-
-    Requires c - a - b > 0, read as HypArgs.convergent_at_one reads it; a = 0
-    or b = 0 short-circuits to 1 since every term past n = 0 vanishes.
+    """2F1(a, b; c; 1) by Gauss's sum Gamma(c) Gamma(c-a-b) / (Gamma(c-a) Gamma(c-b))
+    (DLMF 15.4.20): signed, 0 at a pole of Gamma(c-a) or Gamma(c-b). Requires
+    c - a - b > 0, read as HypArgs.convergent_at_one reads it, and c off the
+    non-positive integers; a = 0 or b = 0 gives 1 as every term past n = 0 vanishes.
     """
     if a == 0.0 or b == 0.0:
         return 1.0
     gap = _gap_at_one(a, b, c)
     if gap <= 0.0:
         raise DivergenceError(f"2F1 diverges at z=1 when c-a-b <= 0 (got c-a-b={gap})")
-    if c <= 0.0 or c - a <= 0.0 or c - b <= 0.0:
-        raise DomainError(
-            f"gamma-ratio form needs positive c, c-a, c-b; got c={c}, a={a}, b={b}")
-    return math.exp(ln_gamma(c) + ln_gamma(c - a - b) - ln_gamma(c - a) - ln_gamma(c - b))
+    if c <= 0.0 and c == math.floor(c):
+        raise DomainError(f"c must not be a non-positive integer, got c={c}")
+    if any(x <= 0.0 and x == math.floor(x) for x in (c - a, c - b)):
+        return 0.0  # 1 / Gamma vanishes at its poles; lgamma raises there
+    value = _gamma_ratio((c, c - a - b), (c - a, c - b))[0]
+    if math.isinf(value):
+        raise DivergenceError(f"2F1 exceeds the double range at z=1 for a={a}, b={b}, c={c}")
+    return value
 
 
 def f21_derivative(args: HypArgs) -> float:

@@ -31,10 +31,12 @@ from pqelliptic import (
     gauss_2f1,
     legendre_E_agm,
     legendre_K_agm,
+    pi_pq,
     product_gap,
     product_gap_in_bounds,
     sharp_linear_bounds,
 )
+from pqelliptic import delta_analysis
 from pqelliptic.delta_analysis import delta_prime_result, delta_result, delta_second_result
 
 P22 = PQParams(2.0, 2.0)
@@ -149,6 +151,19 @@ class TestDelta:
         # The F2 term at the complement grows like r**-p, past the double range.
         with pytest.raises(DivergenceError):
             delta_second(P22, 1e-160)
+
+    def test_kernel_coefficient_is_the_cached_constant(self, monkeypatch):
+        # The kernel's r = 0 value needs pi_{1/b,1/a} = pi_{p,q}, which
+        # PQParams already holds: no pi_pq call per point.
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return pi_pq(*args)
+
+        monkeypatch.setattr(delta_analysis, "pi_pq", counted)
+        delta_result(PQParams(2.5, 3.0), 0.4)
+        assert calls == []
 
     def test_domain(self):
         with pytest.raises(DomainError):

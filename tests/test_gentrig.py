@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from pqelliptic import DomainError, PQParams, arcsin_pq, gentrig, pi_pq, sin_pq
+from pqelliptic import DomainError, PQParams, arcsin_pq, claims, gentrig, pi_pq, sin_pq
 
 # Frozen from adaptive quadrature of (1 - t**2)**(-1/3) on [0, 0.7]
 # (the adopted integrand at p=3, q=2; abserr 1.4e-14).
@@ -159,3 +159,12 @@ class TestIntegrandConvention:
         target = pi_pq(p, q)
         assert 2.0 * adopted == pytest.approx(target, abs=1e-9)
         assert abs(2.0 * transposed - target) > 0.1  # finite, clear disagreement
+
+    def test_note_states_the_transposed_value_in_closed_form(self):
+        # Twice the transposed integral is (2/p) B(1/p, 1 - 1/q) = pi_{q,p}.
+        transposed, _ = integrate.quad(lambda t: (1.0 - t ** 2.0) ** (-1.0 / 3.0),
+                                       0.0, 1.0, epsabs=1e-12, epsrel=1e-11)
+        assert 2.0 * transposed == pytest.approx(pi_pq(3.0, 2.0), abs=1e-9)
+        note = claims._integrand_convention_note(2.0, 3.0)
+        assert f"{pi_pq(2.0, 3.0):.12f}" in note
+        assert f"{pi_pq(3.0, 2.0):.12f}" in note

@@ -376,6 +376,34 @@ class TestGaussValueAtOne:
         with pytest.raises(DivergenceError):
             gauss_value_at_one(1.0, 1.0, 1.5)
 
+    @pytest.mark.parametrize("a, b, c", [(-0.5, 0.5, 0.25), (-1.2, -0.3, -0.5)])
+    def test_negative_gamma_arguments_give_a_signed_value(self, a, b, c):
+        # c - a or c - b (and c) negative: a finite sum, -2.18844 and 0.469141.
+        with mpmath.workdps(30):
+            exact = float(mpmath.hyp2f1(a, b, c, 1))
+        assert gauss_value_at_one(a, b, c) == pytest.approx(exact, rel=1e-14)
+
+    def test_signed_value_through_gauss_2f1(self):
+        result = gauss_2f1(HypArgs(-0.5, 0.5, 0.25, 1.0))
+        assert result.value == gauss_value_at_one(-0.5, 0.5, 0.25)
+        assert result.method == "gauss_closed_form"
+
+    def test_pole_of_a_denominator_gamma_gives_zero(self):
+        # Gamma(c - a) = Gamma(-1) is a pole, where 1 / Gamma vanishes.
+        assert gauss_value_at_one(2.0, -2.5, 1.0) == 0.0
+
+    def test_c_at_a_pole_is_refused(self):
+        # c - a - b = 1 converges, but Gamma(c) = Gamma(-1) is a pole.
+        with pytest.raises(DomainError, match="non-positive integer"):
+            gauss_value_at_one(-2.5, 0.5, -1.0)
+
+    def test_double_range_edge(self):
+        # exp(709.09) = 8.99e307 is kept; about 2^1200 is refused, not inf.
+        assert gauss_value_at_one(-511.75, -511.75, 0.5) == pytest.approx(
+            8.98956350187315e307, rel=1e-12)
+        with pytest.raises(DivergenceError, match="double range"):
+            gauss_value_at_one(-600.5, -600.5, 0.5)
+
 
 class TestTanhSinh:
     def test_refuses_when_the_levels_run_out(self):

@@ -251,30 +251,56 @@ def epsilon(p, q):
     floats are evaluated in double precision.
     """
     if isinstance(p, Rational) and isinstance(q, Rational):
-        p, q = Fraction(p), Fraction(q)
+        pn, pd, qn, qd = *_ratio(p), *_ratio(q)
+        return Fraction(_epsilon_numerator(pn, pd, qn, qd), pn ** 3 * qn ** 2)
     return (
         20 - 42 / p + 6 / q + 21 / p ** 2 - 2 / q ** 2 - 20 / (p * q)
         + 9 / (p ** 2 * q) - 3 / p ** 3 - 1 / (p ** 3 * q)
     )
 
 
+def _ratio(x) -> tuple[int, int]:
+    """x = numerator / denominator exactly, denominator > 0; binary floats convert exactly."""
+    return (x if isinstance(x, (int, float, Fraction)) else Fraction(x)).as_integer_ratio()
+
+
+def _epsilon_numerator(pn: int, pd: int, qn: int, qd: int) -> int:
+    """epsilon(p, q) times pn**3 qn**2 for p = pn/pd and q = qn/qd."""
+    return (20 * pn ** 3 * qn ** 2 - 42 * pd * pn ** 2 * qn ** 2 + 6 * qd * pn ** 3 * qn
+            + 21 * pd ** 2 * pn * qn ** 2 - 2 * qd ** 2 * pn ** 3 - 20 * pd * qd * pn ** 2 * qn
+            + 9 * pd ** 2 * qd * pn * qn - 3 * pd ** 3 * qn ** 2 - pd ** 3 * qd * qn)
+
+
+def _admissibility_ratios(p, q) -> tuple[int, int, int, int]:
+    """(pn, pd, qn, qd) with p = pn/pd and q = qn/qd exactly; p, q > 1 or DomainError."""
+    pn, pd = _ratio(p)
+    qn, qd = _ratio(q)
+    if not (pn > pd and qn > qd):
+        raise DomainError(f"admissibility requires p > 1 and q > 1, got p={p}, q={q}")
+    return pn, pd, qn, qd
+
+
+def _condition1(pn: int, pd: int, qn: int, qd: int) -> bool:
+    # 2 + 1/p + 1/p**2 <= 5/p + 1/q < 3 + 1/p**2, each side times pn**2 qn > 0.
+    middle = 5 * pd * pn * qn + qd * pn ** 2
+    return 2 * pn ** 2 * qn + pd * pn * qn + pd ** 2 * qn <= middle < 3 * pn ** 2 * qn + pd ** 2 * qn
+
+
 def condition1(p, q) -> bool:
     """First admissibility condition, decided in exact rational arithmetic.
 
-    Arguments are promoted to exact rationals (binary floats convert
-    exactly), making the mixed strict/non-strict boundary classification
-    reproducible: 2 + 1/p + 1/p**2 <= 5/p + 1/q < 3 + 1/p**2.
+    Arguments are taken as exact rationals (binary floats convert exactly)
+    and the denominators cleared, making the mixed strict/non-strict
+    boundary classification reproducible: 2 + 1/p + 1/p**2 <= 5/p + 1/q <
+    3 + 1/p**2.
     """
-    p, q = Fraction(p), Fraction(q)
-    if not (p > 1 and q > 1):
-        raise DomainError(f"admissibility requires p > 1 and q > 1, got p={p}, q={q}")
-    middle = 5 / p + 1 / q
-    return 2 + 1 / p + 1 / p ** 2 <= middle < 3 + 1 / p ** 2
+    return _condition1(*_admissibility_ratios(p, q))
 
 
 def admissible(p, q) -> bool:
-    """Both admissibility conditions: condition1 and epsilon > 0 (strict)."""
-    return condition1(p, q) and epsilon(Fraction(p), Fraction(q)) > 0
+    """Both admissibility conditions: condition1 and epsilon > 0 (strict), exactly."""
+    ratios = _admissibility_ratios(p, q)
+    return _condition1(*ratios) and _epsilon_numerator(*ratios) > 0
 
 
 def sharp_linear_bounds(params: PQParams, r: float) -> tuple[float, float]:

@@ -4,14 +4,20 @@ Log-gamma, beta, the unregularized incomplete beta, and a Gauss
 hypergeometric evaluator that returns a value together with an a-posteriori
 error estimate and a tag for the evaluation route that produced it.
 
-Everything here is pure and stateless; all functions are safe to call
-concurrently.
+Every function is pure: its result depends on its arguments alone. The
+direct series keeps each (a, b, c) family's coefficients in a bounded,
+module-private cache (see _CoefficientTables); a table is built by the same
+recurrence whatever the cache holds and is never changed once stored, and
+storing takes a lock, so all functions are safe to call concurrently.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+import threading
+from array import array
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from .quadrature import tanh_sinh_01
@@ -40,6 +46,7 @@ MAX_TERMS = 200_000
 SERIES_SWITCH = 0.9
 
 _SERIES_TOL = 1e-16
+_LOG_SERIES_TOL = math.log(_SERIES_TOL)
 _EPS = 2.0 ** -52
 _EULER_GAMMA = 0.5772156649015329
 _LOG_MAX = math.log(sys.float_info.max)  # the largest argument exp keeps finite
@@ -161,29 +168,104 @@ def inc_beta(z: float, a: float, b: float) -> float:
     return beta(a, b) - w ** b / b * _series_2f1(b, 1.0 - a, b + 1.0, w)[0]
 
 
-def _series_2f1(a: float, b: float, c: float, z: float) -> tuple[float, float]:
-    """Direct power series with running-ratio term recurrence.
+class _CoefficientTables:
+    """The direct series' coefficients (a)_k (b)_k / ((c)_k k!), k = 0, 1, ...,
+    per exact (a, b, c): a cache bounded by the coefficients it holds.
 
-    Returns (value, err_estimate): the first omitted term inflated by the
-    geometric tail bound |t_next| / (1 - |t_next / t_last|). Raises
-    DomainError when MAX_TERMS terms do not meet the stopping rule.
+    A stored table is never changed: a longer one replaces it whole, and the
+    oldest tables go first once the budget is exceeded. Tables shorter than
+    _MIN_KEPT, or longer than the whole budget, are returned but not kept.
+    Coefficient k comes from the same recurrence whatever the table's
+    history, so a sum over it does not depend on the cache. Reads take no
+    lock; storing takes one, so that concurrent callers never lose count of
+    what is held.
     """
-    term = 1.0
-    total = 1.0
-    n = 0
-    while n < MAX_TERMS:
-        new = term * (a + n) * (b + n) * z / ((c + n) * (n + 1.0))
-        total += new
-        n += 1
-        if abs(new) < _SERIES_TOL * abs(total) and abs(new) <= abs(term):
-            if new == 0.0:
-                return total, 0.0
-            nxt = new * (a + n) * (b + n) * z / ((c + n) * (n + 1.0))
-            ratio = abs(nxt / new)
-            return total, abs(nxt) / (1.0 - ratio) if ratio < 1.0 else math.inf
-        term = new
-    raise DomainError(f"2F1 series did not converge in {MAX_TERMS} terms "
-                      f"for a={a}, b={b}, c={c}, z={z}")
+
+    def __init__(self, budget: int) -> None:
+        self.budget = budget
+        self.stored = 0  # coefficients held, over every table
+        self._tables: OrderedDict[tuple[float, float, float], array] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, a: float, b: float, c: float, n: int) -> array | list[float]:
+        """A table holding at least the coefficients 0 to n."""
+        key = (a, b, c)
+        table = self._tables.get(key)
+        if table is not None and len(table) > n:
+            return table
+        if table is None:
+            table = fresh = [1.0]
+            coef, k = 1.0, 0.0
+        else:
+            fresh = []
+            coef, k = table[-1], len(table) - 1.0
+        append = fresh.append
+        while k < n:
+            coef *= (a + k) * (b + k) / ((c + k) * (k + 1.0))
+            append(coef)
+            k += 1.0
+        if fresh is not table:  # extended on a copy: a stored table never changes
+            table = table + array("d", fresh)
+        if _MIN_KEPT <= len(table) <= self.budget:
+            self._store(key, array("d", table) if fresh is table else table)
+        return table
+
+    def _store(self, key: tuple[float, float, float], table: array) -> None:
+        with self._lock:
+            old = self._tables.pop(key, None)
+            if old is not None:
+                self.stored -= len(old)
+            self._tables[key] = table
+            self.stored += len(table)
+            while self.stored > self.budget:
+                self.stored -= len(self._tables.popitem(last=False)[1])
+
+
+#: Shorter tables are rebuilt on every call: storing one costs about as much
+#: as building it, and most belong to a tiny z met once.
+_MIN_KEPT = 16
+#: Shared by every series sum; 2**15 coefficients take 256 KiB.
+_COEFFICIENTS = _CoefficientTables(budget=1 << 15)
+
+
+def _series_2f1(a: float, b: float, c: float, z: float) -> tuple[float, float]:
+    """Direct power series: the sum of t_k = (a)_k (b)_k / ((c)_k k!) z^k over
+    k <= n, by Horner's rule over the family's cached coefficients.
+
+    n starts from an estimate of where |t_k| meets 1e-16 and grows by an
+    eighth until |t_n| < 1e-16 |sum| and |t_n| <= |t_(n-1)|; it depends on
+    (a, b, c, z) alone, never on what the cache holds. Returns (value,
+    err_estimate): the first omitted term inflated by the geometric tail
+    bound |t_(n+1)| / (1 - |t_(n+1) / t_n|). Raises DomainError when MAX_TERMS
+    terms do not meet the stopping rule.
+    """
+    if 0.0 < z < 1.0:
+        # |t_k| falls off like k^(a+b-c-1) z^k: start past where that meets the tolerance.
+        log_z = math.log(z)
+        n = 2 + int((_LOG_SERIES_TOL - (a + b - c - 1.0) * math.log(1.0 + _LOG_SERIES_TOL / log_z))
+                    / log_z)
+        n = 1 if n < 1 else MAX_TERMS if n > MAX_TERMS else n
+    else:  # z = 0, or z = 1 where the terms fall off like k^(a+b-c-1) alone
+        n = 1
+    while True:
+        table = _COEFFICIENTS.get(a, b, c, n + 1)
+        total = 0.0
+        for coef in table[n::-1]:
+            total = total * z + coef
+        power = z ** (n - 1)
+        before = table[n - 1] * power
+        last = table[n] * power * z
+        if abs(last) < _SERIES_TOL * abs(total) and abs(last) <= abs(before):
+            break
+        if n >= MAX_TERMS:
+            raise DomainError(f"2F1 series did not converge in {MAX_TERMS} terms "
+                              f"for a={a}, b={b}, c={c}, z={z}")
+        n = min(MAX_TERMS, n + n // 8 + 1)
+    if last == 0.0:
+        return total, 0.0
+    nxt = table[n + 1] * power * z * z
+    ratio = abs(nxt / last)
+    return total, abs(nxt) / (1.0 - ratio) if ratio < 1.0 else math.inf
 
 
 def _euler_2f1(a: float, b: float, c: float, w: float) -> EvalResult | None:

@@ -99,6 +99,19 @@ class TestScan:
                    "--quantity", "delta", "--out", str(out))
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_in_process_scan_equals_a_fresh_process(self, runner, tmp_path):
+        # Series coefficient tables left by earlier scans (the slope shares its
+        # 2F1 family with the curvature) must not change a digit.
+        grid = "p:1.5:3:4,q:1.5:3:4,r:0.05:0.95:7"
+        warm, fresh = tmp_path / "warm.csv", tmp_path / "fresh.csv"
+        invoke(runner, "scan", "--grid", grid, "--quantity", "delta_prime",
+               "--out", str(tmp_path / "slope.csv"))
+        invoke(runner, "scan", "--grid", grid, "--quantity", "delta_second", "--out", str(warm))
+        subprocess.run([sys.executable, "-m", "pqelliptic", "scan", "--grid", grid,
+                        "--quantity", "delta_second", "--out", str(fresh)],
+                       check=True, capture_output=True, timeout=120)
+        assert warm.read_bytes() == fresh.read_bytes()
+
     def test_axis_ends_exactly_at_hi(self, runner, tmp_path):
         # 0.1 + 3 * (0.8 / 3) rounds to 0.9000000000000001
         out = tmp_path / "scan.csv"

@@ -29,6 +29,7 @@ from pqelliptic import (
     legendre_K_agm,
     takeuchi_bridge_residual,
 )
+from pqelliptic import elliptic
 
 P22 = PQParams(2.0, 2.0)
 
@@ -116,10 +117,17 @@ class TestMonotonicity:
 
 class TestComplements:
     def test_definition_unfold(self):
+        # At r = 1/2 the complement evaluates its 2F1 at exactly (z, w) =
+        # (0.875, 0.125), the direct form at the rounded r' one ulp further:
+        # the same bits at the same arguments, a few ulps across the step.
         params = PQParams(3.0, 2.0)
         expected_modulus = (1.0 - 0.5 ** 3) ** (1.0 / 3.0)
-        assert K_comp(params, 0.5).value == K_pq(params, expected_modulus).value
-        assert E_comp(params, 0.5).value == E_pq(params, expected_modulus).value
+        assert expected_modulus ** 3.0 == math.nextafter(0.875, 1.0)
+        for comp, direct, first_kind in ((K_comp, K_pq, True), (E_comp, E_pq, False)):
+            value = comp(params, 0.5).value
+            args = elliptic._complete_args(params, first_kind, 0.875, 0.125)
+            assert value == 0.5 * params.pi_pq * gauss_2f1(args).value
+            assert abs(value - direct(params, expected_modulus).value) <= 4 * math.ulp(value)
 
     def test_self_complementary_point(self):
         r = 2.0 ** -0.5

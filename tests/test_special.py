@@ -3,6 +3,8 @@
 import dataclasses
 import math
 import random
+import sys
+import threading
 
 import mpmath
 import pytest
@@ -330,6 +332,98 @@ class TestConnectionRoute:
                     rel = float(abs((mpmath.mpf(res.value) - exact) / exact))
                 assert rel <= abs(delta) * abs(math.log(w)) + 1e-14, (a, b, c, w)
         assert gauss_2f1(HypArgs(0.5, 0.5, 1.0 + 1e-9, 0.95)).method == "euler_quadrature"
+
+
+def _series_samples(seed, pairs, per_pair):
+    """Seeded (p, q) pairs, each with per_pair arguments z in (0, 0.9]: the
+    five library families and the two incomplete-beta families of arcsin_pq
+    (a = 1/q, b = 1 - 1/p below the pivot and its complement), pair by pair."""
+    rng = random.Random(seed)
+    samples = []
+    for _ in range(pairs):
+        p, q = rng.uniform(1.1, 6.0), rng.uniform(1.1, 6.0)
+        a, b = 1.0 / q, 1.0 - 1.0 / p
+        for _ in range(per_pair):
+            z = 0.9 * (1.0 - rng.random())
+            samples += [*_library_families(p, q, z, None).values(),
+                        HypArgs(a, 1.0 - b, a + 1.0, z), HypArgs(b, 1.0 - a, b + 1.0, z)]
+    return samples
+
+
+def _bits(samples):
+    return [(res.value, res.err_estimate, res.method) for res in map(gauss_2f1, samples)]
+
+
+class TestCoefficientTables:
+    """The direct series sums per-family coefficient tables from a shared
+    cache; no result may depend on what the cache holds."""
+
+    @pytest.fixture()
+    def fresh_tables(self, monkeypatch):
+        def install(budget=special._COEFFICIENTS.budget):
+            tables = special._CoefficientTables(budget)
+            monkeypatch.setattr(special, "_COEFFICIENTS", tables)
+            return tables
+        return install
+
+    def test_same_bits_cold_warm_evicted_and_reversed(self, fresh_tables):
+        samples = _series_samples(20261018, 12, 6)
+        fresh_tables()
+        cold = _bits(samples)  # each family's table first built, then extended
+        warm = _bits(samples)
+        fresh_tables()
+        backwards = _bits(samples[::-1])[::-1]
+        # Tables for z near 0.9 exceed this budget and are never kept; the
+        # shorter ones evict each other.
+        tables = fresh_tables(budget=150)
+        evicted = _bits(samples)
+        assert 0 < tables.stored <= 150
+        assert cold == warm == backwards == evicted
+        assert {method for _, _, method in cold} == {"series"}
+
+    def test_term_cap_refuses_with_a_warm_table(self, monkeypatch):
+        samples = _series_samples(7, 1, 1)
+        families = [dataclasses.replace(args, z=0.64) for args in samples]
+        _bits([dataclasses.replace(args, z=0.9) for args in samples])  # warm, past 5 terms
+        monkeypatch.setattr(special, "MAX_TERMS", 5)
+        for args in families:
+            with pytest.raises(DomainError, match="did not converge"):
+                gauss_2f1(args)
+
+    def test_series_route_against_mpmath(self):
+        with mpmath.workdps(30):
+            for args in _series_samples(11, 40, 2):
+                res = gauss_2f1(args)
+                assert res.method == "series"
+                exact = mpmath.hyp2f1(args.a, args.b, args.c, args.z)
+                rel = float(abs((mpmath.mpf(res.value) - exact) / exact))
+                assert rel <= 2e-15, args
+
+    def test_threads_share_the_tables(self, fresh_tables):
+        samples = _series_samples(5, 4, 4)
+        fresh_tables()
+        expected = _bits(samples)
+        tables = fresh_tables(budget=600)
+        results = {}
+
+        def work(shift):  # each thread walks the samples from its own start
+            rotated = _bits(samples[shift:] + samples[:shift])
+            results[shift] = rotated[len(samples) - shift:] + rotated[:len(samples) - shift]
+
+        workers = [threading.Thread(target=work, args=(7 * k,)) for k in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert all(results[7 * k] == expected for k in range(6))
+        # A lost update would leave the count off the tables actually held.
+        assert tables.stored == sum(map(len, tables._tables.values())) <= 600
 
 
 class TestEvalResultArithmetic:

@@ -10,6 +10,7 @@ endpoints and is kept only as a cross-check route.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,6 +57,7 @@ class DeltaConstants:
     beta1: float
 
     @classmethod
+    @functools.lru_cache(maxsize=64)  # built once per pair, not on every call
     def for_params(cls, params: PQParams) -> "DeltaConstants":
         c1 = 1.0 + params.inv_q - params.inv_p
         delta0 = _kernel_at_zero(params.inv_q, params.inv_p, params.pi_pq) - 1.0

@@ -5,10 +5,11 @@ hypergeometric evaluator that returns a value together with an a-posteriori
 error estimate and a tag for the evaluation route that produced it.
 
 Every function is pure: its result depends on its arguments alone. The
-direct series keeps each (a, b, c) family's coefficients in a bounded,
-module-private cache (see _CoefficientTables); a table is built by the same
-recurrence whatever the cache holds and is never changed once stored, and
-storing takes a lock, so all functions are safe to call concurrently.
+direct series and the 1 - z connection formula keep each (a, b, c) family's
+coefficients and constants in one bounded, module-private cache (see
+_CoefficientTables); a table is built by the same recurrence whatever the
+cache holds and is never changed once stored, and storing takes a lock, so
+all functions are safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import sys
 import threading
 from array import array
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .quadrature import tanh_sinh_01
 
@@ -130,6 +131,8 @@ class EvalResult:
 
 
 def _joined_route(a: EvalResult, b: EvalResult) -> str:
+    if a.method == b.method:
+        return a.method
     return "+".join(sorted({*a.method.split("+"), *b.method.split("+")}))
 
 
@@ -168,85 +171,163 @@ def inc_beta(z: float, a: float, b: float) -> float:
     return beta(a, b) - w ** b / b * _series_2f1(b, 1.0 - a, b + 1.0, w)[0]
 
 
-class _CoefficientTables:
-    """The direct series' coefficients (a)_k (b)_k / ((c)_k k!), k = 0, 1, ...,
-    per exact (a, b, c): a cache bounded by the coefficients it holds.
+@dataclass(frozen=True, slots=True)
+class _Family:
+    """What the cache holds for one exact (a, b, c): the direct series'
+    coefficients, and the log case once the connection route has met the
+    family."""
 
-    A stored table is never changed: a longer one replaces it whole, and the
-    oldest tables go first once the budget is exceeded. Tables shorter than
-    _MIN_KEPT, or longer than the whole budget, are returned but not kept.
-    Coefficient k comes from the same recurrence whatever the table's
-    history, so a sum over it does not depend on the cache. Reads take no
-    lock; storing takes one, so that concurrent callers never lose count of
-    what is held.
+    series: array | tuple = ()
+    log: _LogCase | None = None
+
+    def __len__(self) -> int:
+        return len(self.series) + (0 if self.log is None else len(self.log))
+
+
+def _grown(held: int, needed: int, cap: int) -> int:
+    """The length a table of `held` entries grows to when `needed` are asked
+    for: by half, and by 8 at least, so that a family walked along r is
+    copied a few times, not once a step; a first build is exact."""
+    return max(needed, min(held + max(held // 2, 8), cap)) if held else needed
+
+
+class _CoefficientTables:
+    """One record per exact (a, b, c) family (see _Family), shared by the
+    direct series and the connection route: a cache bounded by the
+    coefficients it holds.
+
+    A stored record is never changed: a longer one replaces it whole, and the
+    oldest records go first once the budget is exceeded. A part of a record
+    (the series table or the log case) is first stored on its second request
+    among the last _RECENT requests for parts not held, so that families met
+    once (a fresh PQParams per call) are neither copied nor kept; series
+    tables shorter than _MIN_KEPT are never stored, nor records longer than
+    the whole budget. Entry k comes from the same recurrence whatever the
+    cache held before, and both routes choose their term count from their
+    arguments alone, so no sum depends on the cache. Reads take no lock;
+    storing takes one, so that concurrent callers never lose count of what
+    is held.
     """
 
     def __init__(self, budget: int) -> None:
         self.budget = budget
-        self.stored = 0  # coefficients held, over every table
-        self._tables: OrderedDict[tuple[float, float, float], array] = OrderedDict()
+        self.stored = 0  # coefficients held, over every record
+        self._tables: OrderedDict[tuple[float, float, float], _Family] = OrderedDict()
+        self._recent: OrderedDict[tuple, None] = OrderedDict()  # parts asked for once
         self._lock = threading.Lock()
 
     def get(self, a: float, b: float, c: float, n: int) -> array | list[float]:
-        """A table holding at least the coefficients 0 to n."""
+        """The direct series' coefficients (a)_k (b)_k / ((c)_k k!) from k = 0
+        to at least n."""
         key = (a, b, c)
-        table = self._tables.get(key)
-        if table is not None and len(table) > n:
+        family = self._tables.get(key)
+        table = () if family is None else family.series
+        if len(table) > n:
             return table
-        if table is None:
-            table = fresh = [1.0]
-            coef, k = 1.0, 0.0
+        size = _grown(len(table), n + 1, MAX_TERMS + 2)
+        if table:
+            fresh, coef, k = [], table[-1], len(table) - 1.0
         else:
-            fresh = []
-            coef, k = table[-1], len(table) - 1.0
+            fresh = [1.0]
+            coef, k = 1.0, 0.0
         append = fresh.append
-        while k < n:
+        while k < size - 1:
             coef *= (a + k) * (b + k) / ((c + k) * (k + 1.0))
             append(coef)
             k += 1.0
-        if fresh is not table:  # extended on a copy: a stored table never changes
+        if table:  # extended on a copy: a stored table never changes
             table = table + array("d", fresh)
-        if _MIN_KEPT <= len(table) <= self.budget:
-            self._store(key, array("d", table) if fresh is table else table)
+        elif len(fresh) < _MIN_KEPT or not self._admitted((a, b, c, "series")):
+            return fresh
+        else:
+            table = array("d", fresh)
+        self._store(key, _Family(table, None if family is None else family.log))
         return table
 
-    def _store(self, key: tuple[float, float, float], table: array) -> None:
+    def log_case(self, a: float, b: float, c: float, m: int, n: int) -> _LogCase:
+        """The log case of (a, b; a + b + m), m >= 0, with terms 0 to at least
+        n, kept in the record of the family (a, b, c)."""
+        key = (a, b, c)
+        family = self._tables.get(key)
+        log = None if family is None else family.log
+        held = 0 if log is None else len(log.terms) // 4
+        if held > n:
+            return log
+        log = _log_case(a, b, m, _grown(held, n + 1, MAX_TERMS + 1), log)
+        if not held:
+            if not self._admitted((a, b, c, "log")):
+                return log
+            log.terms = array("d", log.terms)
+        self._store(key, _Family(() if family is None else family.series, log))
+        return log
+
+    def _admitted(self, part: tuple) -> bool:
+        """Whether a part not held was asked for among the last _RECENT such
+        requests; if not, remember this one."""
+        with self._lock:
+            if self._recent.pop(part, False) is None:
+                return True
+            self._recent[part] = None
+            if len(self._recent) > _RECENT:
+                self._recent.popitem(last=False)
+            return False
+
+    def _store(self, key: tuple[float, float, float], family: _Family) -> None:
+        if len(family) > self.budget:
+            return
         with self._lock:
             old = self._tables.pop(key, None)
             if old is not None:
                 self.stored -= len(old)
-            self._tables[key] = table
-            self.stored += len(table)
+            self._tables[key] = family
+            self.stored += len(family)
             while self.stored > self.budget:
                 self.stored -= len(self._tables.popitem(last=False)[1])
 
 
-#: Shorter tables are rebuilt on every call: storing one costs about as much
-#: as building it, and most belong to a tiny z met once.
+#: Shorter series tables are rebuilt on every call: storing one costs about as
+#: much as building it, and most belong to a tiny z met once.
 _MIN_KEPT = 16
-#: Shared by every series sum; 2**15 coefficients take 256 KiB.
-_COEFFICIENTS = _CoefficientTables(budget=1 << 15)
+#: Parts asked for once that the cache remembers. Every family a `verify`
+#: pass asks for twice comes back within 1024 such requests; a caller with a
+#: fresh PQParams per call never comes back.
+_RECENT = 1024
+#: Shared by both 2F1 routes. A warm certify pass (`verify --grid
+#: p:1.5:4:6,q:1.5:4:6`) holds about 10^5 coefficients; 2**17 of them take 1 MiB.
+_COEFFICIENTS = _CoefficientTables(budget=1 << 17)
 
 
-def _series_2f1(a: float, b: float, c: float, z: float) -> tuple[float, float]:
+def _series_terms(a: float, b: float, c: float, z: float) -> int:
+    """Where the terms of the direct series, falling off like k^(a+b-c-1) z^k,
+    meet 1e-16, within [1, MAX_TERMS]: a start for the term count. At z = 1
+    the algebraic factor alone decides; at z = 0 one term is enough."""
+    e = a + b - c - 1.0
+    if 0.0 < z < 1.0:
+        log_z = math.log(z)
+        n = 2 + int((_LOG_SERIES_TOL - e * math.log(1.0 + _LOG_SERIES_TOL / log_z)) / log_z)
+    elif z == 1.0 and e < 0.0 and _LOG_SERIES_TOL / e < math.log(MAX_TERMS):
+        n = 1 + int(math.exp(_LOG_SERIES_TOL / e))
+    elif z == 1.0:
+        n = MAX_TERMS
+    else:
+        n = 1
+    return 1 if n < 1 else MAX_TERMS if n > MAX_TERMS else n
+
+
+def _series_2f1(a: float, b: float, c: float, z: float,
+                rounding: bool = False) -> tuple[float, float]:
     """Direct power series: the sum of t_k = (a)_k (b)_k / ((c)_k k!) z^k over
     k <= n, by Horner's rule over the family's cached coefficients.
 
-    n starts from an estimate of where |t_k| meets 1e-16 and grows by an
-    eighth until |t_n| < 1e-16 |sum| and |t_n| <= |t_(n-1)|; it depends on
-    (a, b, c, z) alone, never on what the cache holds. Returns (value,
-    err_estimate): the first omitted term inflated by the geometric tail
-    bound |t_(n+1)| / (1 - |t_(n+1) / t_n|). Raises DomainError when MAX_TERMS
-    terms do not meet the stopping rule.
+    n starts from _series_terms and grows by an eighth until
+    |t_n| < 1e-16 |sum| and |t_n| <= |t_(n-1)|; it depends on (a, b, c, z)
+    alone, never on what the cache holds. Returns (value, err_estimate): the
+    first omitted term inflated by the geometric tail bound
+    |t_(n+1)| / (1 - |t_(n+1) / t_n|), plus, with `rounding`, a bound on the
+    rounding of the sum and of its coefficients. Raises DomainError when
+    MAX_TERMS terms do not meet the stopping rule.
     """
-    if 0.0 < z < 1.0:
-        # |t_k| falls off like k^(a+b-c-1) z^k: start past where that meets the tolerance.
-        log_z = math.log(z)
-        n = 2 + int((_LOG_SERIES_TOL - (a + b - c - 1.0) * math.log(1.0 + _LOG_SERIES_TOL / log_z))
-                    / log_z)
-        n = 1 if n < 1 else MAX_TERMS if n > MAX_TERMS else n
-    else:  # z = 0, or z = 1 where the terms fall off like k^(a+b-c-1) alone
-        n = 1
+    n = _series_terms(a, b, c, z)
     while True:
         table = _COEFFICIENTS.get(a, b, c, n + 1)
         total = 0.0
@@ -261,11 +342,20 @@ def _series_2f1(a: float, b: float, c: float, z: float) -> tuple[float, float]:
             raise DomainError(f"2F1 series did not converge in {MAX_TERMS} terms "
                               f"for a={a}, b={b}, c={c}, z={z}")
         n = min(MAX_TERMS, n + n // 8 + 1)
-    if last == 0.0:
-        return total, 0.0
-    nxt = table[n + 1] * power * z * z
-    ratio = abs(nxt / last)
-    return total, abs(nxt) / (1.0 - ratio) if ratio < 1.0 else math.inf
+    err = 0.0
+    if last != 0.0:
+        nxt = table[n + 1] * power * z * z
+        ratio = abs(nxt / last)
+        err = abs(nxt) / (1.0 - ratio) if ratio < 1.0 else math.inf
+    if rounding:
+        # Horner's rule rounds within 2n u of the sum of |t_k| (Higham,
+        # Accuracy and Stability of Numerical Algorithms, 2nd ed., 5.1);
+        # coefficient k carries about 8k u of its own; u = eps / 2.
+        magnitude = 0.0
+        for coef in table[n::-1]:
+            magnitude = magnitude * z + abs(coef)
+        err += 5.0 * (n + 1) * _EPS * magnitude
+    return total, err
 
 
 def _euler_2f1(a: float, b: float, c: float, w: float) -> EvalResult | None:
@@ -304,82 +394,145 @@ def _gamma_ratio(num: tuple[float, ...], den: tuple[float, ...]) -> tuple[float,
     double range), and the sum of the |log-gammas|, which bounds its
     relative rounding in ulps. Arguments lie off the non-positive integers."""
     sign, log, size = 1.0, 0.0, 1.0
-    for x, power in [(x, 1.0) for x in num] + [(x, -1.0) for x in den]:
-        # Gamma is negative on (-1, 0), (-3, -2), ...
-        if x < 0.0 and math.floor(x) % 2 == 1:
-            sign = -sign
-        lg = math.lgamma(x)
-        log += power * lg
-        size += abs(lg)
+    for power, args in ((1.0, num), (-1.0, den)):
+        for x in args:
+            # Gamma is negative on (-1, 0), (-3, -2), ...
+            if x < 0.0 and math.floor(x) % 2 == 1:
+                sign = -sign
+            lg = math.lgamma(x)
+            log += power * lg
+            size += abs(lg)
     return sign * (math.exp(log) if log <= _LOG_MAX else math.inf), size
 
 
-def _connection_2f1(a: float, b: float, m: int, w: float) -> tuple[float, float]:
-    """2F1(a, b; a + b + m; 1 - w) for 0 < w <= 1/2 by the 1 - z connection
-    formula; returns (value, err_estimate), the value inf or nan past the
-    double range.
+@dataclass(slots=True)
+class _LogCase:
+    """The per-family part of the log-case connection formula for
+    2F1(a, b; a + b + m; 1 - w), m >= 0 (DLMF 15.8.10; Abramowitz & Stegun
+    15.3.10-15.3.12):
 
-    m >= 0 (DLMF 15.8.10; Abramowitz & Stegun 15.3.10-15.3.12): a finite
-    sum of m terms plus a series in w with a ln w / digamma bracket. m < 0
-    goes through the Euler transformation to the gap -m (DLMF 15.8.1).
-    Needs a, b and a + m, b + m off the non-positive integers.
+        finite * (sum over k < m of f_k w^k)
+          + lead * w^m * (sum over k of u_k w^k (ln w + e1_k + e2_k))
+
+    with f_k = (a)_k (b)_k / (k! (1-m)_k), u_k = (a+m)_k (b+m)_k m! / (k! (k+m)!),
+    e1_k = psi(a+m+k) - psi(k+1) and e2_k = psi(b+m+k) - psi(k+m+1). `terms`
+    holds for k = 0, 1, ... the row u_k, u_k (e1_k + e2_k), |u_k| and
+    |u_k| (|e1_k| + |e2_k|); the last two scale the rounding estimate. e1 and
+    e2 belong to the last row, from which a longer table continues. A stored
+    log case is never changed.
+    """
+
+    m: int
+    am: float  # a + m
+    bm: float  # b + m
+    finite: float  # Gamma(m) Gamma(c) / (Gamma(a+m) Gamma(b+m)); 0 at m = 0
+    finite_size: float  # the sum of |log-gamma| of each ratio (see _gamma_ratio)
+    lead: float  # -(-1)^m Gamma(c) / (Gamma(a) Gamma(b) m!)
+    lead_size: float
+    f: tuple[float, ...]
+    terms: array | list[float]
+    e1: float
+    e2: float
+
+    def __len__(self) -> int:
+        return len(self.f) + len(self.terms)
+
+
+def _log_case(a: float, b: float, m: int, rows: int, old: _LogCase | None) -> _LogCase:
+    """The log case of (a, b; a + b + m) with `rows` rows of terms: built
+    afresh, or continued from the last row of `old` by the same recurrences."""
+    if old is None:
+        c, am, bm = a + b + m, a + m, b + m
+        f, harmonic = [1.0], 0.0  # harmonic: psi(m + 1) - psi(1)
+        for k in range(1, m):
+            f.append(f[-1] * (a + k - 1) * (b + k - 1) / (k * (k - m)))
+            harmonic += 1.0 / k
+        finite = finite_size = 0.0
+        if m > 0:
+            harmonic += 1.0 / m
+            finite, finite_size = _gamma_ratio((m, c), (am, bm))
+        lead, lead_size = _gamma_ratio((c,), (a, b, m + 1.0))
+        e1 = _digamma(am) + _EULER_GAMMA
+        e2 = _digamma(bm) + _EULER_GAMMA - harmonic
+        terms = [1.0, e1 + e2, 1.0, abs(e1) + abs(e2)]
+        term, k = 1.0, 0.0
+    else:
+        am, bm, e1, e2 = old.am, old.bm, old.e1, old.e2
+        terms = []
+        term, k = old.terms[-4], len(old.terms) // 4 - 1.0
+    extend = terms.extend
+    while k < rows - 1:
+        ak, bk, k1, km1 = am + k, bm + k, k + 1.0, k + m + 1.0
+        e1 += 1.0 / ak - 1.0 / k1
+        e2 += 1.0 / bk - 1.0 / km1
+        term *= ak * bk / (k1 * km1)
+        size = abs(term)
+        extend((term, term * (e1 + e2), size, size * (abs(e1) + abs(e2))))
+        k = k1
+    if old is None:
+        return _LogCase(m, am, bm, finite, finite_size, -(-1.0) ** m * lead, lead_size,
+                        tuple(f[:m]), terms, e1, e2)
+    return replace(old, terms=old.terms + array("d", terms), e1=e1, e2=e2)
+
+
+def _connection_2f1(a: float, b: float, c: float, m: int, w: float) -> tuple[float, float]:
+    """2F1(a, b; c; 1 - w), c - a - b taken as the integer m, for 0 < w <= 1/2
+    by the 1 - z connection formula; returns (value, err_estimate), the value
+    inf or nan past the double range.
+
+    m >= 0: the family's _LogCase, its finite sum of m terms plus
+    lead w^m (ln w U(w) + V(w)), where U and V are Horner sums over the
+    tables u_k and u_k (e1_k + e2_k). m < 0 goes through the Euler
+    transformation to the family (b + m, a + m; c) of gap -m (DLMF 15.8.1).
+    The term count n starts from _series_terms of the series in w, less m,
+    and grows by an eighth until the bound on term n is below 1e-16 of the
+    sum and a geometric tail bound holds from there: like the direct
+    series' count it depends on the arguments alone. Needs a, b and a + m,
+    b + m off the non-positive integers.
     """
     if m < 0:
-        value, err = _connection_2f1(b + m, a + m, -m, w)
+        value, err = _connection_2f1(b + m, a + m, c, -m, w)
         scale = w ** m if m * math.log(w) < 709.0 else math.inf
         return scale * value, scale * err + 2.0 * _EPS * abs(scale * value)
-    c = a + b + m
-    # The finite sum (m >= 1): Gamma(m) Gamma(c) / (Gamma(a+m) Gamma(b+m))
-    # times the sum over k < m of (a)_k (b)_k / (k! (1-m)_k) w^k.
-    finite = finite_size = 0.0
-    harmonic = 0.0  # psi(m + 1) - psi(1)
-    if m > 0:
-        term = total = 1.0
-        for k in range(1, m):
-            term *= (a + k - 1) * (b + k - 1) * w / (k * (k - m))
-            total += term
-            harmonic += 1.0 / k
-        harmonic += 1.0 / m
-        gammas, finite_size = _gamma_ratio((m, c), (a + m, b + m))
-        finite = gammas * total
-    # The log part: lead times the sum over k of t_k [ln w + e1_k + e2_k], with
-    # lead = -(-1)^m Gamma(c) / (Gamma(a) Gamma(b) m!) w^m,
-    # t_k = (a+m)_k (b+m)_k m! / (k! (k+m)!) w^k,
-    # e1_k = psi(a+m+k) - psi(k+1) and e2_k = psi(b+m+k) - psi(k+m+1).
+    # The log part enters w^m times the finite part's size: m terms fewer.
+    n = max(1, _series_terms(a + m, b + m, m + 1.0, w) - m)
+    case = _COEFFICIENTS.log_case(a, b, c, m, n)
+    am, bm = case.am, case.bm
+    finite = 0.0
+    for coef in case.f[::-1]:
+        finite = finite * w + coef
+    finite *= case.finite
     # lead is summed apart from finite: w^m may underflow to 0.
-    gammas, lead_size = _gamma_ratio((c,), (a, b, m + 1.0))
-    lead = -(-1.0) ** m * gammas * w ** m
-    am, bm = a + m, b + m
+    lead = case.lead * w ** m
     log_w = math.log(w)
     abs_log_w = abs(log_w)
-    e1 = _digamma(am) + _EULER_GAMMA
-    e2 = _digamma(bm) + _EULER_GAMMA - harmonic
-    term = 1.0
-    series = 0.0
-    magnitude = 0.0
-    k = 0
-    tail = math.inf
-    while k < MAX_TERMS:
+    while True:
+        u = v = u_abs = e_abs = 0.0
+        rows = iter(case.terms[4 * n - 1::-1])
+        for ek_abs, uk_abs, vk, uk in zip(rows, rows, rows, rows):
+            u = u * w + uk
+            v = v * w + vk
+            u_abs = u_abs * w + uk_abs
+            e_abs = e_abs * w + ek_abs
+        total = finite + lead * (log_w * u + v)
         # Stop on the term's bound, not on the term: the bracket can cross zero.
-        size = abs(term) * (abs_log_w + abs(e1) + abs(e2))
-        if (abs(lead) * size <= _SERIES_TOL * abs(finite + lead * series)
-                and am + k > 0.0 and bm + k > 0.0):
-            # From k on each factor of t_{j+1} / t_j lies between its value at
-            # j = k and 1, and |e1_j|, |e2_j| shrink: a geometric tail bound.
-            ratio = w * max(1.0, (am + k) / (k + 1.0)) * max(1.0, (bm + k) / (k + m + 1.0))
+        size = (abs_log_w * case.terms[4 * n + 2] + case.terms[4 * n + 3]) * w ** n
+        if abs(lead) * size <= _SERIES_TOL * abs(total) and am + n > 0.0 and bm + n > 0.0:
+            # From n on each factor of u_{k+1} w / u_k lies between its value
+            # at k = n and 1, and |e1_k|, |e2_k| shrink: a geometric tail bound.
+            ratio = w * max(1.0, (am + n) / (n + 1.0)) * max(1.0, (bm + n) / (n + m + 1.0))
             if ratio < 1.0:
                 tail = size / (1.0 - ratio)
                 break
-        series += term * (log_w + e1 + e2)
-        magnitude += size
-        e1 += 1.0 / (am + k) - 1.0 / (k + 1.0)
-        e2 += 1.0 / (bm + k) - 1.0 / (k + m + 1.0)
-        term *= (am + k) * (bm + k) * w / ((k + 1.0) * (k + m + 1.0))
-        k += 1
-    # Rounding: the gamma ratios, the term and digamma recurrences, the sums.
-    rounding = _EPS * ((2.0 * k + 24.0 + lead_size) * abs(lead) * magnitude
-                       + (2.0 * m + 24.0 + finite_size) * abs(finite))
-    return finite + lead * series, abs(lead) * tail + rounding
+        if n >= MAX_TERMS:
+            tail = math.inf
+            break
+        n = min(MAX_TERMS, n + n // 8 + 1)
+        case = _COEFFICIENTS.log_case(a, b, c, m, n)
+    # Rounding: the gamma ratios, the tables' recurrences, the Horner sums.
+    rounding = _EPS * ((2.0 * n + 24.0 + case.lead_size) * abs(lead) * (abs_log_w * u_abs + e_abs)
+                       + (2.0 * m + 24.0 + case.finite_size) * abs(finite))
+    return total, abs(lead) * tail + rounding
 
 
 def _polynomial_case(a: float, b: float, m: int) -> bool:
@@ -394,9 +547,11 @@ def gauss_2f1(args: HypArgs) -> EvalResult:
 
     Series with tail-bound stopping up to z = 0.9. Above that, the 1 - z
     connection formula in w = 1 - z when c - a - b is within rounding of an
-    integer m (and is then taken as m); otherwise, or when its estimate
-    exceeds 1e-13 relative and the quadrature's is smaller, the Euler-integral
-    quadrature, or the series when no Euler ordering is valid. Exactly at
+    integer m (and is then taken as m), unless the series' terms fall below
+    1e-16 within fewer than the m terms of its finite sum; otherwise, or when
+    its estimate exceeds 1e-13 relative and the quadrature's is smaller, the
+    Euler-integral quadrature, or the series when no Euler ordering is valid.
+    A series above 0.9 adds a rounding bound to its estimate. Exactly at
     z = 1 (w = 0) the gamma-ratio closed form, which requires c - a - b > 0.
     A series past MAX_TERMS terms, or a result without a finite error
     estimate, raises DomainError, a value past the double range DivergenceError.
@@ -410,8 +565,12 @@ def gauss_2f1(args: HypArgs) -> EvalResult:
         return EvalResult(value, 8e-16 * abs(value), METHOD_GAUSS_CLOSED_FORM)
     m = _integer_gap(a, b, c)
     result = None
-    if m is not None and not _polynomial_case(a, b, m):
-        result = EvalResult(*_connection_2f1(a, b, m, w), METHOD_CONNECTION)
+    if m is not None and m > 1 and max(_series_terms(a, b, c, z), _series_terms(a, b, c, 1.0)) < m:
+        # So large a gap makes the direct series' terms fall off within fewer
+        # terms than the connection route's finite sum has.
+        result = EvalResult(*_series_2f1(a, b, c, z, rounding=True), METHOD_SERIES)
+    elif m is not None and not _polynomial_case(a, b, m):
+        result = EvalResult(*_connection_2f1(a, b, c, m, w), METHOD_CONNECTION)
     # Large a, b let the log series cancel; the quadrature may then do better.
     if result is None or (math.isfinite(result.value)
                           and result.err_estimate > _CONNECTION_TRUST * abs(result.value)):
@@ -419,7 +578,7 @@ def gauss_2f1(args: HypArgs) -> EvalResult:
         if euler is not None and (result is None or euler.err_estimate < result.err_estimate):
             result = euler
     if result is None:
-        result = EvalResult(*_series_2f1(a, b, c, z), METHOD_SERIES)
+        result = EvalResult(*_series_2f1(a, b, c, z, rounding=True), METHOD_SERIES)
     if not math.isfinite(result.value):
         raise DivergenceError(f"2F1 exceeds the double range at z={z}, w={w}")
     if not math.isfinite(result.err_estimate):

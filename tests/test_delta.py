@@ -180,6 +180,10 @@ class TestDeltaConstants:
             assert c.delta1 == -c.delta0
             assert c.beta1 == pytest.approx(-2.0 * c.delta0, rel=1e-15)
 
+    def test_built_once_per_pair(self):
+        assert DeltaConstants.for_params(PQParams(2.5, 3.0)) is DeltaConstants.for_params(
+            PQParams(2.5, 3.0))
+
     def test_classical_values(self):
         c = DeltaConstants.for_params(P22)
         assert c.delta0 == pytest.approx(math.pi / 4.0 - 1.0, rel=1e-14)

@@ -333,6 +333,35 @@ class TestConnectionRoute:
                 assert rel <= abs(delta) * abs(math.log(w)) + 1e-14, (a, b, c, w)
         assert gauss_2f1(HypArgs(0.5, 0.5, 1.0 + 1e-9, 0.95)).method == "euler_quadrature"
 
+    def test_large_gap_takes_the_shorter_series(self):
+        # Gap c - 1: the direct series needs a few terms, the connection
+        # route's finite sum c - 1 of them.
+        for c in (300.0, 1e4, 1e7 + 1):
+            res = gauss_2f1(HypArgs(0.5, 0.5, c, 0.95))
+            assert res.method == "series", c
+            with mpmath.workdps(30):
+                a, z = mpmath.mpf(0.5), mpmath.mpf(0.95)
+                # Pfaff's transformation (DLMF 15.8.1): mpmath's own 1 - z
+                # route stalls on a gap of 1e7.
+                exact = (1 - z) ** -a * mpmath.hyp2f1(a, c - a, c, z / (z - 1))
+                err = float(abs(mpmath.mpf(res.value) - exact))
+            assert err <= 1e-14 * abs(float(exact)), c
+            assert err <= res.err_estimate, c
+
+    def test_series_at_one_starts_from_the_algebraic_decay(self, monkeypatch):
+        # No integer gap and no Euler ordering, z rounded to 1: the series at
+        # z = 1, whose terms fall off like k^(a+b-c-1) alone.
+        requests = []
+        get = special._COEFFICIENTS.get
+        monkeypatch.setattr(special._COEFFICIENTS, "get",
+                            lambda *args: requests.append(args) or get(*args))
+        with pytest.raises(DomainError, match="did not converge"):  # k^-2.5 needs 2.5e6 terms
+            gauss_2f1(HypArgs(-0.5, -0.3, 0.7, 1.0, 1e-20))
+        assert 1 <= len(requests) <= 2
+        res = gauss_2f1(HypArgs(-0.5, -0.3, 5.7, 1.0, 1e-20))  # k^-7.5: 136 terms
+        assert res.method == "series"
+        assert res.value == pytest.approx(gauss_value_at_one(-0.5, -0.3, 5.7), rel=1e-14)
+
 
 def _series_samples(seed, pairs, per_pair):
     """Seeded (p, q) pairs, each with per_pair arguments z in (0, 0.9]: the
@@ -347,6 +376,19 @@ def _series_samples(seed, pairs, per_pair):
             z = 0.9 * (1.0 - rng.random())
             samples += [*_library_families(p, q, z, None).values(),
                         HypArgs(a, 1.0 - b, a + 1.0, z), HypArgs(b, 1.0 - a, b + 1.0, z)]
+    return samples
+
+
+def _connection_samples(seed, pairs, per_pair):
+    """The five library families at seeded (p, q) pairs, each at per_pair
+    complements w log-uniform on [1e-12, 0.1]: the connection route's band."""
+    rng = random.Random(seed)
+    samples = []
+    for _ in range(pairs):
+        p, q = rng.uniform(1.1, 6.0), rng.uniform(1.1, 6.0)
+        for _ in range(per_pair):
+            w = 10.0 ** rng.uniform(-12.0, -1.0)
+            samples += _library_families(p, q, 1.0 - w, w).values()
     return samples
 
 
@@ -400,7 +442,7 @@ class TestCoefficientTables:
                 assert rel <= 2e-15, args
 
     def test_threads_share_the_tables(self, fresh_tables):
-        samples = _series_samples(5, 4, 4)
+        samples = _series_samples(5, 4, 4) + _connection_samples(6, 4, 4)
         fresh_tables()
         expected = _bits(samples)
         tables = fresh_tables(budget=600)
@@ -424,6 +466,54 @@ class TestCoefficientTables:
         assert all(results[7 * k] == expected for k in range(6))
         # A lost update would leave the count off the tables actually held.
         assert tables.stored == sum(map(len, tables._tables.values())) <= 600
+
+    def test_connection_same_bits_cold_warm_evicted_and_reversed(self, fresh_tables):
+        samples = _connection_samples(20261020, 10, 5)
+        fresh_tables()
+        cold = _bits(samples)
+        warm = _bits(samples)
+        fresh_tables()
+        backwards = _bits(samples[::-1])[::-1]
+        tables = fresh_tables(budget=200)  # a few log cases at a time
+        evicted = _bits(samples)
+        assert 0 < tables.stored <= 200
+        assert any(family.log is not None for family in tables._tables.values())
+        assert cold == warm == backwards == evicted
+        assert {method for _, _, method in cold} == {"connection"}
+
+    def test_over_allocation_changes_no_sum(self, fresh_tables):
+        # Walked up in z (down in w for the connection route), each table
+        # grows by half at a time and holds more terms than its sums read.
+        rng = random.Random(20261021)
+        walks = []
+        for _ in range(4):
+            p, q = rng.uniform(1.1, 6.0), rng.uniform(1.1, 6.0)
+            walks += [[family for z in (0.2, 0.35, 0.5, 0.62, 0.75, 0.84, 0.9)
+                       for family in _library_families(p, q, z, None).values()],
+                      [family for w in (1e-12, 1e-9, 1e-6, 1e-4, 1e-3, 0.01, 0.05, 0.1)
+                       for family in _library_families(p, q, 1.0 - w, w).values()]]
+        exact = []
+        for args in (args for walk in walks for args in walk):
+            fresh_tables()  # every table built to the length this call needs
+            exact.append(_bits([args])[0])
+        tables = fresh_tables()
+        asked = {}  # the most terms each part was asked for
+        get, log_case = tables.get, tables.log_case
+
+        def counted(part, ask, *args):
+            key = (*args[:3], part)
+            asked[key] = max(asked.get(key, 0), args[-1] + 1)
+            return ask(*args)
+
+        tables.get = lambda *args: counted("series", get, *args)
+        tables.log_case = lambda *args: counted("log", log_case, *args)
+        assert [bits for walk in walks for bits in _bits(walk)] == exact
+        held = {}
+        for key, family in tables._tables.items():
+            held[(*key, "series")] = len(family.series)
+            held[(*key, "log")] = 0 if family.log is None else len(family.log.terms) // 4
+        assert any(held.get(key, 0) > asked[key] for key in asked if key[-1] == "series")
+        assert any(held.get(key, 0) > asked[key] for key in asked if key[-1] == "log")
 
 
 class TestEvalResultArithmetic:
@@ -451,6 +541,8 @@ class TestEvalResultArithmetic:
             "euler_quadrature+series")
         assert (tagged("gauss_closed_form+series") - tagged("euler_quadrature")).method == (
             "euler_quadrature+gauss_closed_form+series")
+        same = tagged("connection+series")
+        assert (same + tagged("connection+series")).method is same.method
 
 
 class TestGaussValueAtOne:

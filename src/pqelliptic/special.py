@@ -5,21 +5,24 @@ hypergeometric evaluator that returns a value together with an a-posteriori
 error estimate and a tag for the evaluation route that produced it.
 
 Every function is pure: its result depends on its arguments alone. The
-direct series and the 1 - z connection formula keep each (a, b, c) family's
-coefficients and constants in one bounded, module-private cache (see
-_CoefficientTables); a table is built by the same recurrence whatever the
-cache holds and is never changed once stored, and storing takes a lock, so
-all functions are safe to call concurrently.
+direct series keeps each (a, b, c) family's coefficients in one bounded,
+module-private cache (see _CoefficientTables), and the 1 - z connection
+formula each family's gamma ratios and digamma seeds in another (see
+_log_constants). A table is built by the same recurrence whatever the cache
+holds and is never changed once stored; the tables are stored under a lock
+and functools.lru_cache is thread-safe, so all functions are safe to call
+concurrently.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 import threading
 from array import array
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .quadrature import tanh_sinh_01
 
@@ -171,19 +174,6 @@ def inc_beta(z: float, a: float, b: float) -> float:
     return beta(a, b) - w ** b / b * _series_2f1(b, 1.0 - a, b + 1.0, w)[0]
 
 
-@dataclass(frozen=True, slots=True)
-class _Family:
-    """What the cache holds for one exact (a, b, c): the direct series'
-    coefficients, and the log case once the connection route has met the
-    family."""
-
-    series: array | tuple = ()
-    log: _LogCase | None = None
-
-    def __len__(self) -> int:
-        return len(self.series) + (0 if self.log is None else len(self.log))
-
-
 def _grown(held: int, needed: int, cap: int) -> int:
     """The length a table of `held` entries grows to when `needed` are asked
     for: by half, and by 8 at least, so that a family walked along r is
@@ -192,36 +182,32 @@ def _grown(held: int, needed: int, cap: int) -> int:
 
 
 class _CoefficientTables:
-    """One record per exact (a, b, c) family (see _Family), shared by the
-    direct series and the connection route: a cache bounded by the
-    coefficients it holds.
+    """The direct series' coefficients (a)_k (b)_k / ((c)_k k!), k = 0, 1, ...,
+    per exact (a, b, c): a cache bounded by the coefficients it holds.
 
-    A stored record is never changed: a longer one replaces it whole, and the
-    oldest records go first once the budget is exceeded. A part of a record
-    (the series table or the log case) is first stored on its second request
-    among the last _RECENT requests for parts not held, so that families met
-    once (a fresh PQParams per call) are neither copied nor kept; series
-    tables shorter than _MIN_KEPT are never stored, nor records longer than
-    the whole budget. Entry k comes from the same recurrence whatever the
-    cache held before, and both routes choose their term count from their
-    arguments alone, so no sum depends on the cache. Reads take no lock;
-    storing takes one, so that concurrent callers never lose count of what
-    is held.
+    A stored table is never changed: a longer one replaces it whole, and the
+    oldest tables go first once the budget is exceeded. A family's table is
+    first stored on its second request among the last _RECENT requests for
+    tables not held, so that families met once (a fresh PQParams per call)
+    are neither copied nor kept; tables shorter than _MIN_KEPT, or longer
+    than the whole budget, are never stored. Coefficient k comes from the
+    same recurrence whatever the cache held before, and the term count comes
+    from the arguments alone, so no sum depends on the cache. Reads take no
+    lock; storing takes one, so that concurrent callers never lose count of
+    what is held.
     """
 
     def __init__(self, budget: int) -> None:
         self.budget = budget
-        self.stored = 0  # coefficients held, over every record
-        self._tables: OrderedDict[tuple[float, float, float], _Family] = OrderedDict()
-        self._recent: OrderedDict[tuple, None] = OrderedDict()  # parts asked for once
+        self.stored = 0  # coefficients held, over every table
+        self._tables: OrderedDict[tuple[float, float, float], array] = OrderedDict()
+        self._recent: OrderedDict[tuple[float, float, float], None] = OrderedDict()
         self._lock = threading.Lock()
 
     def get(self, a: float, b: float, c: float, n: int) -> array | list[float]:
-        """The direct series' coefficients (a)_k (b)_k / ((c)_k k!) from k = 0
-        to at least n."""
+        """A table holding at least the coefficients 0 to n."""
         key = (a, b, c)
-        family = self._tables.get(key)
-        table = () if family is None else family.series
+        table = self._tables.get(key, ())
         if len(table) > n:
             return table
         size = _grown(len(table), n + 1, MAX_TERMS + 2)
@@ -237,62 +223,45 @@ class _CoefficientTables:
             k += 1.0
         if table:  # extended on a copy: a stored table never changes
             table = table + array("d", fresh)
-        elif len(fresh) < _MIN_KEPT or not self._admitted((a, b, c, "series")):
+        elif len(fresh) < _MIN_KEPT or not self._admitted(key):
             return fresh
         else:
             table = array("d", fresh)
-        self._store(key, _Family(table, None if family is None else family.log))
+        self._store(key, table)
         return table
 
-    def log_case(self, a: float, b: float, c: float, m: int, n: int) -> _LogCase:
-        """The log case of (a, b; a + b + m), m >= 0, with terms 0 to at least
-        n, kept in the record of the family (a, b, c)."""
-        key = (a, b, c)
-        family = self._tables.get(key)
-        log = None if family is None else family.log
-        held = 0 if log is None else len(log.terms) // 4
-        if held > n:
-            return log
-        log = _log_case(a, b, m, _grown(held, n + 1, MAX_TERMS + 1), log)
-        if not held:
-            if not self._admitted((a, b, c, "log")):
-                return log
-            log.terms = array("d", log.terms)
-        self._store(key, _Family(() if family is None else family.series, log))
-        return log
-
-    def _admitted(self, part: tuple) -> bool:
-        """Whether a part not held was asked for among the last _RECENT such
+    def _admitted(self, key: tuple[float, float, float]) -> bool:
+        """Whether a table not held was asked for among the last _RECENT such
         requests; if not, remember this one."""
         with self._lock:
-            if self._recent.pop(part, False) is None:
+            if self._recent.pop(key, False) is None:
                 return True
-            self._recent[part] = None
+            self._recent[key] = None
             if len(self._recent) > _RECENT:
                 self._recent.popitem(last=False)
             return False
 
-    def _store(self, key: tuple[float, float, float], family: _Family) -> None:
-        if len(family) > self.budget:
+    def _store(self, key: tuple[float, float, float], table: array) -> None:
+        if len(table) > self.budget:
             return
         with self._lock:
             old = self._tables.pop(key, None)
             if old is not None:
                 self.stored -= len(old)
-            self._tables[key] = family
-            self.stored += len(family)
+            self._tables[key] = table
+            self.stored += len(table)
             while self.stored > self.budget:
                 self.stored -= len(self._tables.popitem(last=False)[1])
 
 
-#: Shorter series tables are rebuilt on every call: storing one costs about as
-#: much as building it, and most belong to a tiny z met once.
+#: Shorter tables are rebuilt on every call: storing one costs about as much
+#: as building it, and most belong to a tiny z met once.
 _MIN_KEPT = 16
-#: Parts asked for once that the cache remembers. Every family a `verify`
+#: Tables asked for once that the cache remembers. Every family a `verify`
 #: pass asks for twice comes back within 1024 such requests; a caller with a
 #: fresh PQParams per call never comes back.
 _RECENT = 1024
-#: Shared by both 2F1 routes. A warm certify pass (`verify --grid
+#: Shared by every series sum. A warm certify pass (`verify --grid
 #: p:1.5:4:6,q:1.5:4:6`) holds about 10^5 coefficients; 2**17 of them take 1 MiB.
 _COEFFICIENTS = _CoefficientTables(budget=1 << 17)
 
@@ -405,9 +374,10 @@ def _gamma_ratio(num: tuple[float, ...], den: tuple[float, ...]) -> tuple[float,
     return sign * (math.exp(log) if log <= _LOG_MAX else math.inf), size
 
 
-@dataclass(slots=True)
-class _LogCase:
-    """The per-family part of the log-case connection formula for
+@functools.lru_cache(maxsize=256)
+def _log_constants(a: float, b: float, m: int) -> tuple[tuple[float, ...], float, float,
+                                                         float, float, float, float]:
+    """The per-family constants of the log-case connection formula for
     2F1(a, b; a + b + m; 1 - w), m >= 0 (DLMF 15.8.10; Abramowitz & Stegun
     15.3.10-15.3.12):
 
@@ -415,75 +385,39 @@ class _LogCase:
           + lead * w^m * (sum over k of u_k w^k (ln w + e1_k + e2_k))
 
     with f_k = (a)_k (b)_k / (k! (1-m)_k), u_k = (a+m)_k (b+m)_k m! / (k! (k+m)!),
-    e1_k = psi(a+m+k) - psi(k+1) and e2_k = psi(b+m+k) - psi(k+m+1). `terms`
-    holds for k = 0, 1, ... the row u_k, u_k (e1_k + e2_k), |u_k| and
-    |u_k| (|e1_k| + |e2_k|); the last two scale the rounding estimate. e1 and
-    e2 belong to the last row, from which a longer table continues. A stored
-    log case is never changed.
+    e1_k = psi(a+m+k) - psi(k+1) and e2_k = psi(b+m+k) - psi(k+m+1).
+    Returns (f, finite, finite_size, lead, lead_size, e1_0, e2_0), with
+    finite = Gamma(m) Gamma(c) / (Gamma(a+m) Gamma(b+m)) (0 at m = 0),
+    lead = -(-1)^m Gamma(c) / (Gamma(a) Gamma(b) m!) and each ratio's size as
+    _gamma_ratio gives it. Kept for the last 256 families: a certify pass
+    (`verify --grid p:1.5:4:6,q:1.5:4:6`) meets 249. A warm default `verify`
+    rebuilds about 840 of its 11,430; keeping all its 758 families would
+    cost a caller that never repeats one four times the memory.
     """
-
-    m: int
-    am: float  # a + m
-    bm: float  # b + m
-    finite: float  # Gamma(m) Gamma(c) / (Gamma(a+m) Gamma(b+m)); 0 at m = 0
-    finite_size: float  # the sum of |log-gamma| of each ratio (see _gamma_ratio)
-    lead: float  # -(-1)^m Gamma(c) / (Gamma(a) Gamma(b) m!)
-    lead_size: float
-    f: tuple[float, ...]
-    terms: array | list[float]
-    e1: float
-    e2: float
-
-    def __len__(self) -> int:
-        return len(self.f) + len(self.terms)
+    c, am, bm = a + b + m, a + m, b + m
+    f, harmonic = [1.0], 0.0  # harmonic: psi(m + 1) - psi(1)
+    for k in range(1, m):
+        f.append(f[-1] * (a + k - 1) * (b + k - 1) / (k * (k - m)))
+        harmonic += 1.0 / k
+    finite = finite_size = 0.0
+    if m > 0:
+        harmonic += 1.0 / m
+        finite, finite_size = _gamma_ratio((m, c), (am, bm))
+    lead, lead_size = _gamma_ratio((c,), (a, b, m + 1.0))
+    e1 = _digamma(am) + _EULER_GAMMA
+    e2 = _digamma(bm) + _EULER_GAMMA - harmonic
+    return tuple(f[:m]), finite, finite_size, -(-1.0) ** m * lead, lead_size, e1, e2
 
 
-def _log_case(a: float, b: float, m: int, rows: int, old: _LogCase | None) -> _LogCase:
-    """The log case of (a, b; a + b + m) with `rows` rows of terms: built
-    afresh, or continued from the last row of `old` by the same recurrences."""
-    if old is None:
-        c, am, bm = a + b + m, a + m, b + m
-        f, harmonic = [1.0], 0.0  # harmonic: psi(m + 1) - psi(1)
-        for k in range(1, m):
-            f.append(f[-1] * (a + k - 1) * (b + k - 1) / (k * (k - m)))
-            harmonic += 1.0 / k
-        finite = finite_size = 0.0
-        if m > 0:
-            harmonic += 1.0 / m
-            finite, finite_size = _gamma_ratio((m, c), (am, bm))
-        lead, lead_size = _gamma_ratio((c,), (a, b, m + 1.0))
-        e1 = _digamma(am) + _EULER_GAMMA
-        e2 = _digamma(bm) + _EULER_GAMMA - harmonic
-        terms = [1.0, e1 + e2, 1.0, abs(e1) + abs(e2)]
-        term, k = 1.0, 0.0
-    else:
-        am, bm, e1, e2 = old.am, old.bm, old.e1, old.e2
-        terms = []
-        term, k = old.terms[-4], len(old.terms) // 4 - 1.0
-    extend = terms.extend
-    while k < rows - 1:
-        ak, bk, k1, km1 = am + k, bm + k, k + 1.0, k + m + 1.0
-        e1 += 1.0 / ak - 1.0 / k1
-        e2 += 1.0 / bk - 1.0 / km1
-        term *= ak * bk / (k1 * km1)
-        size = abs(term)
-        extend((term, term * (e1 + e2), size, size * (abs(e1) + abs(e2))))
-        k = k1
-    if old is None:
-        return _LogCase(m, am, bm, finite, finite_size, -(-1.0) ** m * lead, lead_size,
-                        tuple(f[:m]), terms, e1, e2)
-    return replace(old, terms=old.terms + array("d", terms), e1=e1, e2=e2)
+def _connection_2f1(a: float, b: float, m: int, w: float) -> tuple[float, float]:
+    """2F1(a, b; a + b + m; 1 - w) for 0 < w <= 1/2 by the 1 - z connection
+    formula; returns (value, err_estimate), the value inf or nan past the
+    double range.
 
-
-def _connection_2f1(a: float, b: float, c: float, m: int, w: float) -> tuple[float, float]:
-    """2F1(a, b; c; 1 - w), c - a - b taken as the integer m, for 0 < w <= 1/2
-    by the 1 - z connection formula; returns (value, err_estimate), the value
-    inf or nan past the double range.
-
-    m >= 0: the family's _LogCase, its finite sum of m terms plus
-    lead w^m (ln w U(w) + V(w)), where U and V are Horner sums over the
-    tables u_k and u_k (e1_k + e2_k). m < 0 goes through the Euler
-    transformation to the family (b + m, a + m; c) of gap -m (DLMF 15.8.1).
+    m >= 0: the family's _log_constants, its finite sum of m terms plus
+    lead w^m (ln w U(w) + V(w)), where U and V sum u_k w^k and
+    u_k (e1_k + e2_k) w^k in one forward pass. m < 0 goes through the Euler
+    transformation to the family (b + m, a + m) of gap -m (DLMF 15.8.1).
     The term count n starts from _series_terms of the series in w, less m,
     and grows by an eighth until the bound on term n is below 1e-16 of the
     sum and a geometric tail bound holds from there: like the direct
@@ -491,32 +425,38 @@ def _connection_2f1(a: float, b: float, c: float, m: int, w: float) -> tuple[flo
     b + m off the non-positive integers.
     """
     if m < 0:
-        value, err = _connection_2f1(b + m, a + m, c, -m, w)
+        value, err = _connection_2f1(b + m, a + m, -m, w)
         scale = w ** m if m * math.log(w) < 709.0 else math.inf
         return scale * value, scale * err + 2.0 * _EPS * abs(scale * value)
-    # The log part enters w^m times the finite part's size: m terms fewer.
-    n = max(1, _series_terms(a + m, b + m, m + 1.0, w) - m)
-    case = _COEFFICIENTS.log_case(a, b, c, m, n)
-    am, bm = case.am, case.bm
-    finite = 0.0
-    for coef in case.f[::-1]:
-        finite = finite * w + coef
-    finite *= case.finite
+    f, finite, finite_size, lead, lead_size, e1, e2 = _log_constants(a, b, m)
+    am, bm = a + m, b + m
+    part = 0.0
+    for coef in f[::-1]:
+        part = part * w + coef
+    finite *= part
     # lead is summed apart from finite: w^m may underflow to 0.
-    lead = case.lead * w ** m
+    lead *= w ** m
     log_w = math.log(w)
     abs_log_w = abs(log_w)
+    # The log part enters w^m times the finite part's size: m terms fewer.
+    n = max(1, _series_terms(am, bm, m + 1.0, w) - m)
+    u = v = u_abs = e_abs = 0.0
+    term, k = 1.0, 0.0  # term: u_k w^k
     while True:
-        u = v = u_abs = e_abs = 0.0
-        rows = iter(case.terms[4 * n - 1::-1])
-        for ek_abs, uk_abs, vk, uk in zip(rows, rows, rows, rows):
-            u = u * w + uk
-            v = v * w + vk
-            u_abs = u_abs * w + uk_abs
-            e_abs = e_abs * w + ek_abs
+        while k < n:
+            size = abs(term)
+            u += term
+            v += term * (e1 + e2)
+            u_abs += size
+            e_abs += size * (abs(e1) + abs(e2))
+            ak, bk, k1, km1 = am + k, bm + k, k + 1.0, k + m + 1.0
+            e1 += 1.0 / ak - 1.0 / k1
+            e2 += 1.0 / bk - 1.0 / km1
+            term *= ak * bk * w / (k1 * km1)
+            k = k1
         total = finite + lead * (log_w * u + v)
         # Stop on the term's bound, not on the term: the bracket can cross zero.
-        size = (abs_log_w * case.terms[4 * n + 2] + case.terms[4 * n + 3]) * w ** n
+        size = abs(term) * (abs_log_w + abs(e1) + abs(e2))
         if abs(lead) * size <= _SERIES_TOL * abs(total) and am + n > 0.0 and bm + n > 0.0:
             # From n on each factor of u_{k+1} w / u_k lies between its value
             # at k = n and 1, and |e1_k|, |e2_k| shrink: a geometric tail bound.
@@ -528,10 +468,9 @@ def _connection_2f1(a: float, b: float, c: float, m: int, w: float) -> tuple[flo
             tail = math.inf
             break
         n = min(MAX_TERMS, n + n // 8 + 1)
-        case = _COEFFICIENTS.log_case(a, b, c, m, n)
-    # Rounding: the gamma ratios, the tables' recurrences, the Horner sums.
-    rounding = _EPS * ((2.0 * n + 24.0 + case.lead_size) * abs(lead) * (abs_log_w * u_abs + e_abs)
-                       + (2.0 * m + 24.0 + case.finite_size) * abs(finite))
+    # Rounding: the gamma ratios, the term and digamma recurrences, the sums.
+    rounding = _EPS * ((2.0 * n + 24.0 + lead_size) * abs(lead) * (abs_log_w * u_abs + e_abs)
+                       + (2.0 * m + 24.0 + finite_size) * abs(finite))
     return total, abs(lead) * tail + rounding
 
 
@@ -570,7 +509,7 @@ def gauss_2f1(args: HypArgs) -> EvalResult:
         # terms than the connection route's finite sum has.
         result = EvalResult(*_series_2f1(a, b, c, z, rounding=True), METHOD_SERIES)
     elif m is not None and not _polynomial_case(a, b, m):
-        result = EvalResult(*_connection_2f1(a, b, c, m, w), METHOD_CONNECTION)
+        result = EvalResult(*_connection_2f1(a, b, m, w), METHOD_CONNECTION)
     # Large a, b let the log series cancel; the quadrature may then do better.
     if result is None or (math.isfinite(result.value)
                           and result.err_estimate > _CONNECTION_TRUST * abs(result.value)):

@@ -25,6 +25,11 @@ def invoke(runner, *args):
     return runner.invoke(main, list(args), catch_exceptions=False)
 
 
+def read_rows(path):
+    with path.open(newline="") as f:
+        return list(csv.DictReader(f))
+
+
 class TestEval:
     def test_first_kind_at_zero(self, runner):
         result = invoke(runner, "eval", "--p", "2", "--q", "2", "--r", "0",
@@ -66,7 +71,7 @@ class TestScan:
         result = invoke(runner, "scan", "--grid", "p:2:2:1,q:2:2:1,r:0.1:0.9:9",
                         "--quantity", "delta", "--out", str(out))
         assert result.exit_code == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = read_rows(out)
         assert len(rows) == 9
         values = [float(row["value"]) for row in rows]
         assert all(values[i] < values[i + 1] for i in range(8))
@@ -76,7 +81,7 @@ class TestScan:
         out = tmp_path / "scan.csv"
         invoke(runner, "scan", "--grid", "p:2:2:1,q:2:2:1,r:0.5:0.5:1",
                "--quantity", "E", "--out", str(out))
-        header = out.open().readline().strip()
+        header = out.read_text().splitlines()[0]
         assert header == "p,q,r,value,err_estimate,method,note"
 
     def test_domain_error_point_becomes_nan_row(self, runner, tmp_path):
@@ -87,7 +92,7 @@ class TestScan:
                         "--grid", "p:2:2:1,q:2:2:1,r:1e-200:1e-200:1",
                         "--quantity", "Kc", "--out", str(out))
         assert result.exit_code == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = read_rows(out)
         assert len(rows) == 1
         assert rows[0]["value"] == "nan"
         assert rows[0]["note"] != ""
@@ -117,7 +122,7 @@ class TestScan:
         out = tmp_path / "scan.csv"
         invoke(runner, "scan", "--grid", "p:2:2:1,q:2:2:1,r:0.1:0.9:4",
                "--quantity", "delta", "--out", str(out))
-        rows = list(csv.DictReader(out.open()))
+        rows = read_rows(out)
         assert [float(row["r"]) for row in (rows[0], rows[-1])] == [0.1, 0.9]
 
     def test_bad_grid_is_usage_error(self, runner):
@@ -250,7 +255,7 @@ class TestRegions:
         result = invoke(runner, "regions", "--grid", "p:1.2:2:2,q:2:2:1",
                         "--out", str(out))
         assert result.exit_code == 0
-        rows = {row["p"]: row for row in csv.DictReader(out.open())}
+        rows = {row["p"]: row for row in read_rows(out)}
         assert rows["2"]["cond1"] == "true"
         assert rows["2"]["epsilon"] == "2.4375"
         assert rows["2"]["admissible"] == "true"
@@ -261,12 +266,12 @@ class TestRegions:
         # 1.05 + 3 * (2.95 / 3) rounds to 4.000000000000001
         out = tmp_path / "regions.csv"
         invoke(runner, "regions", "--grid", "p:1.05:4:4,q:2:2:1", "--out", str(out))
-        assert [row["p"] for row in csv.DictReader(out.open())][-1] == "4"
+        assert read_rows(out)[-1]["p"] == "4"
 
     def test_large_exponent_corner(self, runner, tmp_path):
         out = tmp_path / "regions.csv"
         invoke(runner, "regions", "--grid", "p:10:10:1,q:10:10:1", "--out", str(out))
-        row = next(csv.DictReader(out.open()))
+        row = read_rows(out)[0]
         assert row["cond1"] == "false"  # 0.6 < 2.11: lower inequality fails
         assert row["admissible"] == "false"
         # epsilon tends to 20 only in the p, q -> infinity limit

@@ -467,53 +467,62 @@ class TestCoefficientTables:
         # A lost update would leave the count off the tables actually held.
         assert tables.stored == sum(map(len, tables._tables.values())) <= 600
 
-    def test_connection_same_bits_cold_warm_evicted_and_reversed(self, fresh_tables):
+    def test_connection_same_bits_cold_warm_evicted_and_reversed(self):
         samples = _connection_samples(20261020, 10, 5)
-        fresh_tables()
+        special._log_constants.cache_clear()
         cold = _bits(samples)
         warm = _bits(samples)
-        fresh_tables()
+        special._log_constants.cache_clear()
         backwards = _bits(samples[::-1])[::-1]
-        tables = fresh_tables(budget=200)  # a few log cases at a time
-        evicted = _bits(samples)
-        assert 0 < tables.stored <= 200
-        assert any(family.log is not None for family in tables._tables.values())
+        evicted = []
+        for args in samples:  # every call rebuilds its family's constants
+            special._log_constants.cache_clear()
+            evicted += _bits([args])
         assert cold == warm == backwards == evicted
         assert {method for _, _, method in cold} == {"connection"}
 
+    def test_connection_constants_built_once_per_family(self, monkeypatch):
+        calls = {"_gamma_ratio": 0, "_digamma": 0}
+        for name in calls:
+            def counted(*args, name=name, real=getattr(special, name)):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(special, name, counted)
+        special._log_constants.cache_clear()
+        special._log_constants(0.3, 0.75, 1)
+        build = dict(calls)
+        assert build == {"_gamma_ratio": 2, "_digamma": 2}
+        special._log_constants.cache_clear()
+        calls.update(dict.fromkeys(calls, 0))
+        for k in range(20):  # one gap-1 family at w from 1e-12 to 0.09
+            w = 10.0 ** (-12.0 + 11.0 * k / 19) * 0.9
+            assert gauss_2f1(HypArgs(0.3, 0.75, 2.05, 1.0 - w, w)).method == "connection"
+        assert calls == build
+
     def test_over_allocation_changes_no_sum(self, fresh_tables):
-        # Walked up in z (down in w for the connection route), each table
-        # grows by half at a time and holds more terms than its sums read.
+        # Walked up in z, each table grows by half at a time and holds more
+        # terms than its sums read.
         rng = random.Random(20261021)
         walks = []
         for _ in range(4):
             p, q = rng.uniform(1.1, 6.0), rng.uniform(1.1, 6.0)
-            walks += [[family for z in (0.2, 0.35, 0.5, 0.62, 0.75, 0.84, 0.9)
-                       for family in _library_families(p, q, z, None).values()],
-                      [family for w in (1e-12, 1e-9, 1e-6, 1e-4, 1e-3, 0.01, 0.05, 0.1)
-                       for family in _library_families(p, q, 1.0 - w, w).values()]]
+            walks.append([family for z in (0.2, 0.35, 0.5, 0.62, 0.75, 0.84, 0.9)
+                          for family in _library_families(p, q, z, None).values()])
         exact = []
         for args in (args for walk in walks for args in walk):
             fresh_tables()  # every table built to the length this call needs
             exact.append(_bits([args])[0])
         tables = fresh_tables()
-        asked = {}  # the most terms each part was asked for
-        get, log_case = tables.get, tables.log_case
+        asked = {}  # the most terms each family was asked for
+        get = tables.get
 
-        def counted(part, ask, *args):
-            key = (*args[:3], part)
-            asked[key] = max(asked.get(key, 0), args[-1] + 1)
-            return ask(*args)
+        def counted(*args):
+            asked[args[:3]] = max(asked.get(args[:3], 0), args[-1] + 1)
+            return get(*args)
 
-        tables.get = lambda *args: counted("series", get, *args)
-        tables.log_case = lambda *args: counted("log", log_case, *args)
+        tables.get = counted
         assert [bits for walk in walks for bits in _bits(walk)] == exact
-        held = {}
-        for key, family in tables._tables.items():
-            held[(*key, "series")] = len(family.series)
-            held[(*key, "log")] = 0 if family.log is None else len(family.log.terms) // 4
-        assert any(held.get(key, 0) > asked[key] for key in asked if key[-1] == "series")
-        assert any(held.get(key, 0) > asked[key] for key in asked if key[-1] == "log")
+        assert any(len(tables._tables.get(key, ())) > asked[key] for key in asked)
 
 
 class TestEvalResultArithmetic:

@@ -27,7 +27,17 @@ from .special import (
     EvalResult,
 )
 
-QUANTITIES = ("K", "E", "Kc", "Ec", "delta", "delta_prime", "delta_second", "pi")
+#: The evaluator of each quantity at a modulus r; "pi" needs no r.
+_EVALUATORS = {
+    "K": elliptic.K_pq,
+    "E": elliptic.E_pq,
+    "Kc": elliptic.K_comp,
+    "Ec": elliptic.E_comp,
+    "delta": delta_mod.delta_result,
+    "delta_prime": delta_mod.delta_prime_result,
+    "delta_second": delta_mod.delta_second_result,
+}
+QUANTITIES = (*_EVALUATORS, "pi")
 
 EXIT_FAIL = 1
 EXIT_USAGE = 2
@@ -42,16 +52,7 @@ def _evaluate(quantity: str, params: PQParams, r: float | None) -> EvalResult:
         return EvalResult(params.pi_pq, 4e-16 * params.pi_pq, METHOD_GAUSS_CLOSED_FORM)
     if r is None:
         raise DomainError(f"quantity {quantity} requires --r")
-    dispatch = {
-        "K": elliptic.K_pq,
-        "E": elliptic.E_pq,
-        "Kc": elliptic.K_comp,
-        "Ec": elliptic.E_comp,
-        "delta": delta_mod.delta_result,
-        "delta_prime": delta_mod.delta_prime_result,
-        "delta_second": delta_mod.delta_second_result,
-    }
-    return dispatch[quantity](params, r)
+    return _EVALUATORS[quantity](params, r)
 
 
 def _parse_grid(text: str | None, **pins: float | None) -> ScanGrid:

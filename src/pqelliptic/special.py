@@ -5,13 +5,14 @@ hypergeometric evaluator that returns a value together with an a-posteriori
 error estimate and a tag for the evaluation route that produced it.
 
 Every function is pure: its result depends on its arguments alone. The
-direct series keeps each (a, b, c) family's coefficients in one bounded,
-module-private cache (see _CoefficientTables), and the 1 - z connection
-formula each family's gamma ratios and digamma seeds in another (see
-_log_constants). A table is built by the same recurrence whatever the cache
-holds and is never changed once stored; the tables are stored under a lock
-and functools.lru_cache is thread-safe, so all functions are safe to call
-concurrently.
+direct series keeps each (a, b, c) family's coefficients, exactly as many as
+were asked for, in one module-private cache of 2**18 coefficients (2 MiB,
+which holds the largest warm working set measured; see _CoefficientTables),
+and the 1 - z connection formula each family's gamma ratios and digamma
+seeds in another (see _log_constants). A table is built by the same
+recurrence whatever the cache holds and is never changed once stored; the
+tables are stored under a lock and functools.lru_cache is thread-safe, so
+all functions are safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -174,27 +175,21 @@ def inc_beta(z: float, a: float, b: float) -> float:
     return beta(a, b) - w ** b / b * _series_2f1(b, 1.0 - a, b + 1.0, w)[0]
 
 
-def _grown(held: int, needed: int, cap: int) -> int:
-    """The length a table of `held` entries grows to when `needed` are asked
-    for: by half, and by 8 at least, so that a family walked along r is
-    copied a few times, not once a step; a first build is exact."""
-    return max(needed, min(held + max(held // 2, 8), cap)) if held else needed
-
-
 class _CoefficientTables:
     """The direct series' coefficients (a)_k (b)_k / ((c)_k k!), k = 0, 1, ...,
     per exact (a, b, c): a cache bounded by the coefficients it holds.
 
-    A stored table is never changed: a longer one replaces it whole, and the
-    oldest tables go first once the budget is exceeded. A family's table is
-    first stored on its second request among the last _RECENT requests for
-    tables not held, so that families met once (a fresh PQParams per call)
-    are neither copied nor kept; tables shorter than _MIN_KEPT, or longer
-    than the whole budget, are never stored. Coefficient k comes from the
-    same recurrence whatever the cache held before, and the term count comes
-    from the arguments alone, so no sum depends on the cache. Reads take no
-    lock; storing takes one, so that concurrent callers never lose count of
-    what is held.
+    A table is built, or extended on a copy, to exactly the coefficients 0 to
+    n asked for. A stored table is never changed: a longer one replaces it
+    whole, and the oldest tables go first once the budget is exceeded. A
+    family's table is first stored on its second request among the last
+    _RECENT requests for tables not held, so that a family asked for only once
+    is neither copied nor kept; tables shorter than _MIN_KEPT, or longer than
+    the whole budget, are never stored. Coefficient k comes from the same
+    recurrence whatever the cache held before, and the term count comes from
+    the arguments alone, so no sum depends on the cache. Reads take no lock;
+    storing takes one, so that concurrent callers never lose count of what is
+    held.
     """
 
     def __init__(self, budget: int) -> None:
@@ -210,14 +205,13 @@ class _CoefficientTables:
         table = self._tables.get(key, ())
         if len(table) > n:
             return table
-        size = _grown(len(table), n + 1, MAX_TERMS + 2)
         if table:
             fresh, coef, k = [], table[-1], len(table) - 1.0
         else:
             fresh = [1.0]
             coef, k = 1.0, 0.0
         append = fresh.append
-        while k < size - 1:
+        while k < n:
             coef *= (a + k) * (b + k) / ((c + k) * (k + 1.0))
             append(coef)
             k += 1.0
@@ -259,11 +253,13 @@ class _CoefficientTables:
 _MIN_KEPT = 16
 #: Tables asked for once that the cache remembers. Every family a `verify`
 #: pass asks for twice comes back within 1024 such requests; a caller with a
-#: fresh PQParams per call never comes back.
+#: fresh PQParams per call comes back only within a call, as `delta` does.
 _RECENT = 1024
-#: Shared by every series sum. A warm certify pass (`verify --grid
-#: p:1.5:4:6,q:1.5:4:6`) holds about 10^5 coefficients; 2**17 of them take 1 MiB.
-_COEFFICIENTS = _CoefficientTables(budget=1 << 17)
+#: Shared by every series sum, and sized to hold a whole warm working set: a
+#: certify pass (`verify --grid p:1.5:4:6,q:1.5:4:6`) holds about 98,000
+#: coefficients, the 7 scans of tabulate about 126,000 and a default `verify`
+#: about 224,000; 2**18 of them take 2 MiB.
+_COEFFICIENTS = _CoefficientTables(budget=1 << 18)
 
 
 def _series_terms(a: float, b: float, c: float, z: float) -> int:

@@ -396,6 +396,31 @@ def _bits(samples):
     return [(res.value, res.err_estimate, res.method) for res in map(gauss_2f1, samples)]
 
 
+def _library_walk(seed):
+    """The library families of 4 seeded (p, q) pairs, walked up z = 0.2 ... 0.9
+    pair by pair."""
+    rng = random.Random(seed)
+    walk = []
+    for _ in range(4):
+        p, q = rng.uniform(1.1, 6.0), rng.uniform(1.1, 6.0)
+        walk += [family for z in (0.2, 0.35, 0.5, 0.62, 0.75, 0.84, 0.9)
+                 for family in _library_families(p, q, z, None).values()]
+    return walk
+
+
+def _asked(tables):
+    """The most coefficients each family asks `tables` for, filled in as sums run."""
+    asked = {}
+    get = tables.get
+
+    def counted(a, b, c, n):
+        asked[a, b, c] = max(asked.get((a, b, c), 0), n + 1)
+        return get(a, b, c, n)
+
+    tables.get = counted
+    return asked
+
+
 class TestCoefficientTables:
     """The direct series sums per-family coefficient tables from a shared
     cache; no result may depend on what the cache holds."""
@@ -499,30 +524,30 @@ class TestCoefficientTables:
             assert gauss_2f1(HypArgs(0.3, 0.75, 2.05, 1.0 - w, w)).method == "connection"
         assert calls == build
 
-    def test_over_allocation_changes_no_sum(self, fresh_tables):
-        # Walked up in z, each table grows by half at a time and holds more
-        # terms than its sums read.
-        rng = random.Random(20261021)
-        walks = []
-        for _ in range(4):
-            p, q = rng.uniform(1.1, 6.0), rng.uniform(1.1, 6.0)
-            walks.append([family for z in (0.2, 0.35, 0.5, 0.62, 0.75, 0.84, 0.9)
-                          for family in _library_families(p, q, z, None).values()])
+    def test_tables_hold_exactly_the_terms_asked(self, fresh_tables):
+        walk = _library_walk(20261021)
         exact = []
-        for args in (args for walk in walks for args in walk):
+        for args in walk:
             fresh_tables()  # every table built to the length this call needs
             exact.append(_bits([args])[0])
         tables = fresh_tables()
-        asked = {}  # the most terms each family was asked for
-        get = tables.get
+        asked = _asked(tables)
+        assert _bits(walk) == exact
+        assert tables._tables
+        assert all(len(table) == asked[key] for key, table in tables._tables.items())
 
-        def counted(*args):
-            asked[args[:3]] = max(asked.get(args[:3], 0), args[-1] + 1)
-            return get(*args)
-
-        tables.get = counted
-        assert [bits for walk in walks for bits in _bits(walk)] == exact
-        assert any(len(tables._tables.get(key, ())) > asked[key] for key in asked)
+    def test_a_working_set_within_the_budget_is_stored_once(self, fresh_tables, monkeypatch):
+        walk = _library_walk(20261022)
+        asked = _asked(fresh_tables(budget=1 << 30))
+        expected = _bits(walk)
+        tables = fresh_tables(budget=sum(asked.values()))
+        _bits(walk)  # remembered by the doorkeeper
+        _bits(walk)  # stored
+        stores = []
+        store = tables._store
+        monkeypatch.setattr(tables, "_store", lambda *args: stores.append(args) or store(*args))
+        assert _bits(walk) == expected
+        assert stores == []
 
 
 class TestEvalResultArithmetic:

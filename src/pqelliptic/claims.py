@@ -74,6 +74,8 @@ class ScanGrid:
 
 
 def _check_axis(name: str, axis: AxisRange) -> None:
+    if not (math.isfinite(axis.lo) and math.isfinite(axis.hi)):
+        raise DomainError(f"{name} range requires finite lo and hi, got {axis}")
     if axis.steps < 1:
         raise DomainError(f"{name} range requires steps >= 1, got {axis.steps}")
     if axis.hi < axis.lo:

@@ -153,6 +153,8 @@ def cmd_verify(claims_text: str | None, grid_text: str | None, p_: float | None,
                q_: float | None, r_: float | None, s_: float | None,
                tol: float | None, out_path: str | None) -> None:
     """Run certification claims over a grid and report pass/fail per claim."""
+    if tol is not None and not tol > 0:  # a NaN fails every comparison
+        raise click.UsageError(f"--tol must be > 0, got {tol}")
     grid = _parse_grid(grid_text, p=p_, q=q_, r=r_, s=s_)
     if claims_text:
         claim_ids = [cid.strip() for cid in claims_text.split(",") if cid.strip()]

@@ -9,10 +9,11 @@ direct series keeps each (a, b, c) family's coefficients, exactly as many as
 were asked for, in one module-private cache of 2**18 coefficients (2 MiB,
 which holds the largest warm working set measured; see _CoefficientTables),
 and the 1 - z connection formula each family's gamma ratios and digamma
-seeds in another (see _log_constants). A table is built by the same
-recurrence whatever the cache holds and is never changed once stored; the
-tables are stored under a lock and functools.lru_cache is thread-safe, so
-all functions are safe to call concurrently.
+seeds in another (see _log_constants); both store a family on its first
+request. A table is built by the same recurrence whatever the cache holds
+and is never changed once stored; the tables are stored under a lock and
+functools.lru_cache is thread-safe, so all functions are safe to call
+concurrently.
 """
 
 from __future__ import annotations
@@ -180,14 +181,12 @@ class _CoefficientTables:
     per exact (a, b, c): a cache bounded by the coefficients it holds.
 
     A table is built, or extended on a copy, to exactly the coefficients 0 to
-    n asked for. A stored table is never changed: a longer one replaces it
-    whole, and the oldest tables go first once the budget is exceeded. A
-    family's table is first stored on its second request among the last
-    _RECENT requests for tables not held, so that a family asked for only once
-    is neither copied nor kept; tables shorter than _MIN_KEPT, or longer than
-    the whole budget, are never stored. Coefficient k comes from the same
-    recurrence whatever the cache held before, and the term count comes from
-    the arguments alone, so no sum depends on the cache. Reads take no lock;
+    n asked for, and stored on its first request unless it is shorter than
+    _MIN_KEPT or longer than the whole budget. A stored table is never
+    changed: a longer one replaces it whole, and the oldest tables go first
+    once the budget is exceeded. Coefficient k comes from the same recurrence
+    whatever the cache held before, and the term count comes from the
+    arguments alone, so no sum depends on the cache. Reads take no lock;
     storing takes one, so that concurrent callers never lose count of what is
     held.
     """
@@ -196,7 +195,6 @@ class _CoefficientTables:
         self.budget = budget
         self.stored = 0  # coefficients held, over every table
         self._tables: OrderedDict[tuple[float, float, float], array] = OrderedDict()
-        self._recent: OrderedDict[tuple[float, float, float], None] = OrderedDict()
         self._lock = threading.Lock()
 
     def get(self, a: float, b: float, c: float, n: int) -> array | list[float]:
@@ -217,23 +215,12 @@ class _CoefficientTables:
             k += 1.0
         if table:  # extended on a copy: a stored table never changes
             table = table + array("d", fresh)
-        elif len(fresh) < _MIN_KEPT or not self._admitted(key):
+        elif len(fresh) < _MIN_KEPT:
             return fresh
         else:
             table = array("d", fresh)
         self._store(key, table)
         return table
-
-    def _admitted(self, key: tuple[float, float, float]) -> bool:
-        """Whether a table not held was asked for among the last _RECENT such
-        requests; if not, remember this one."""
-        with self._lock:
-            if self._recent.pop(key, False) is None:
-                return True
-            self._recent[key] = None
-            if len(self._recent) > _RECENT:
-                self._recent.popitem(last=False)
-            return False
 
     def _store(self, key: tuple[float, float, float], table: array) -> None:
         if len(table) > self.budget:
@@ -251,10 +238,6 @@ class _CoefficientTables:
 #: Shorter tables are rebuilt on every call: storing one costs about as much
 #: as building it, and most belong to a tiny z met once.
 _MIN_KEPT = 16
-#: Tables asked for once that the cache remembers. Every family a `verify`
-#: pass asks for twice comes back within 1024 such requests; a caller with a
-#: fresh PQParams per call comes back only within a call, as `delta` does.
-_RECENT = 1024
 #: Shared by every series sum, and sized to hold a whole warm working set: a
 #: certify pass (`verify --grid p:1.5:4:6,q:1.5:4:6`) holds about 98,000
 #: coefficients, the 7 scans of tabulate about 126,000 and a default `verify`

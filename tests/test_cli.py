@@ -298,6 +298,21 @@ class TestExitCodeContractViaSubprocess:
                             "--quantity", "K")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("args", [
+        *((command, "--grid", grid) for command in ("scan", "regions", "verify")
+          for grid in ("p:1.5:inf:3", "q:1.5:nan:3")),
+        *(("verify", "--claims", "prop1.2", "--tol", tol) for tol in ("nan", "0", "-1")),
+    ])
+    def test_non_finite_grid_or_non_positive_tolerance_is_two(self, args, tmp_path):
+        if args[0] == "scan":
+            args += ("--quantity", "K")
+        if args[0] != "verify":
+            args += ("--out", str(tmp_path / "out.csv"))
+        proc = self.run_cli(*args)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stdout + proc.stderr
+        assert "Error:" in proc.stderr
+
 
 class TestRegistryCompleteness:
     def test_every_documented_claim_is_registered_and_runnable(self):

@@ -537,12 +537,11 @@ class TestCoefficientTables:
         assert all(len(table) == asked[key] for key, table in tables._tables.items())
 
     def test_a_working_set_within_the_budget_is_stored_once(self, fresh_tables, monkeypatch):
-        walk = _library_walk(20261022)
+        walk = _library_walk(20261022)[::-1]  # each family's longest table first
         asked = _asked(fresh_tables(budget=1 << 30))
         expected = _bits(walk)
         tables = fresh_tables(budget=sum(asked.values()))
-        _bits(walk)  # remembered by the doorkeeper
-        _bits(walk)  # stored
+        assert _bits(walk) == expected  # stored on each family's first request
         stores = []
         store = tables._store
         monkeypatch.setattr(tables, "_store", lambda *args: stores.append(args) or store(*args))

@@ -478,8 +478,6 @@ CLAIMS: dict[str, ClaimSpec] = {
 
 def run_claim(claim_id: str, grid: ScanGrid, tol: float | None = None) -> ClaimResult:
     """Run one registered claim; unknown ids raise KeyError."""
-    if claim_id not in CLAIMS:
-        raise KeyError(claim_id)
     spec = CLAIMS[claim_id]
     strict = spec.tolerance is None
     # Strictness claims ignore the tolerance override and report none.

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import sys
-from fractions import Fraction
 
 import click
 
@@ -153,8 +153,8 @@ def cmd_verify(claims_text: str | None, grid_text: str | None, p_: float | None,
                q_: float | None, r_: float | None, s_: float | None,
                tol: float | None, out_path: str | None) -> None:
     """Run certification claims over a grid and report pass/fail per claim."""
-    if tol is not None and not tol > 0:  # a NaN fails every comparison
-        raise click.UsageError(f"--tol must be > 0, got {tol}")
+    if tol is not None and not (math.isfinite(tol) and tol > 0):
+        raise click.UsageError(f"--tol must be finite and > 0, got {tol}")
     grid = _parse_grid(grid_text, p=p_, q=q_, r=r_, s=s_)
     if claims_text:
         claim_ids = [cid.strip() for cid in claims_text.split(",") if cid.strip()]
@@ -197,10 +197,9 @@ def cmd_regions(grid_text: str | None, out_path: str) -> None:
         writer.writerow(["p", "q", "cond1", "epsilon", "admissible"])
         for p, q in grid.pq_points():
             cond = delta_mod.condition1(p, q)
-            eps = delta_mod.epsilon(Fraction(p), Fraction(q))
+            eps = delta_mod.epsilon(p, q)
             adm = cond and eps > 0
-            writer.writerow([_fmt(p), _fmt(q), str(cond).lower(),
-                             _fmt(float(eps)), str(adm).lower()])
+            writer.writerow([_fmt(p), _fmt(q), str(cond).lower(), _fmt(eps), str(adm).lower()])
     click.echo(f"wrote region map to {out_path}")
 
 

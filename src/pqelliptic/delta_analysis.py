@@ -249,16 +249,15 @@ def delta_second_sign_variant(params: PQParams, r: float) -> float:
 def epsilon(p, q):
     """Admissibility margin of condition (2): a rational expression in 1/p, 1/q.
 
-    Exact for int or Fraction inputs (the result is then a Fraction);
-    floats are evaluated in double precision.
+    Computed exactly on the ratios of p and q (binary floats convert
+    exactly): a Fraction for int or Fraction inputs, otherwise that value
+    correctly rounded to a float.
     """
+    pn, pd, qn, qd = *_ratio(p), *_ratio(q)
+    numerator, denominator = _epsilon_numerator(pn, pd, qn, qd), pn ** 3 * qn ** 2
     if isinstance(p, Rational) and isinstance(q, Rational):
-        pn, pd, qn, qd = *_ratio(p), *_ratio(q)
-        return Fraction(_epsilon_numerator(pn, pd, qn, qd), pn ** 3 * qn ** 2)
-    return (
-        20 - 42 / p + 6 / q + 21 / p ** 2 - 2 / q ** 2 - 20 / (p * q)
-        + 9 / (p ** 2 * q) - 3 / p ** 3 - 1 / (p ** 3 * q)
-    )
+        return Fraction(numerator, denominator)
+    return numerator / denominator  # int / int rounds correctly
 
 
 def _ratio(x) -> tuple[int, int]:

@@ -10,10 +10,10 @@ were asked for, in one module-private cache of 2**18 coefficients (2 MiB,
 which holds the largest warm working set measured; see _CoefficientTables),
 and the 1 - z connection formula each family's gamma ratios and digamma
 seeds in another (see _log_constants); both store a family on its first
-request. A table is built by the same recurrence whatever the cache holds
-and is never changed once stored; the tables are stored under a lock and
-functools.lru_cache is thread-safe, so all functions are safe to call
-concurrently.
+request. Every table is an array built one way, a copy extended by the same
+recurrence, and is never changed once stored; the tables are stored under a
+lock and functools.lru_cache is thread-safe, so all functions are safe to
+call concurrently.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import math
 import sys
 import threading
 from array import array
-from collections import OrderedDict
 from dataclasses import dataclass
 
 from .quadrature import tanh_sinh_01
@@ -180,46 +179,41 @@ class _CoefficientTables:
     """The direct series' coefficients (a)_k (b)_k / ((c)_k k!), k = 0, 1, ...,
     per exact (a, b, c): a cache bounded by the coefficients it holds.
 
-    A table is built, or extended on a copy, to exactly the coefficients 0 to
-    n asked for, and stored on its first request unless it is shorter than
-    _MIN_KEPT or longer than the whole budget. A stored table is never
+    Every table is an array("d") built one way: a copy of the stored table,
+    or of the shared coefficient 0, extended to exactly the coefficients 0
+    to n asked for. It is stored on its first request unless it is shorter
+    than _MIN_KEPT or longer than the whole budget. A stored table is never
     changed: a longer one replaces it whole, and the oldest tables go first
-    once the budget is exceeded. Coefficient k comes from the same recurrence
-    whatever the cache held before, and the term count comes from the
-    arguments alone, so no sum depends on the cache. Reads take no lock;
-    storing takes one, so that concurrent callers never lose count of what is
-    held.
+    once the budget is exceeded. Coefficient k comes from the same
+    recurrence whatever the cache held before, and the term count comes
+    from the arguments alone, so no sum depends on the cache. Reads take no
+    lock; storing takes one, so that concurrent callers never lose count of
+    what is held.
     """
+
+    _FIRST = array("d", [1.0])  # coefficient 0 of every family: where a cold build starts
 
     def __init__(self, budget: int) -> None:
         self.budget = budget
         self.stored = 0  # coefficients held, over every table
-        self._tables: OrderedDict[tuple[float, float, float], array] = OrderedDict()
+        self._tables: dict[tuple[float, float, float], array] = {}
         self._lock = threading.Lock()
 
-    def get(self, a: float, b: float, c: float, n: int) -> array | list[float]:
+    def get(self, a: float, b: float, c: float, n: int) -> array:
         """A table holding at least the coefficients 0 to n."""
         key = (a, b, c)
-        table = self._tables.get(key, ())
+        table = self._tables.get(key, self._FIRST)
         if len(table) > n:
             return table
-        if table:
-            fresh, coef, k = [], table[-1], len(table) - 1.0
-        else:
-            fresh = [1.0]
-            coef, k = 1.0, 0.0
+        fresh, coef, k = [], table[-1], len(table) - 1.0
         append = fresh.append
         while k < n:
             coef *= (a + k) * (b + k) / ((c + k) * (k + 1.0))
             append(coef)
             k += 1.0
-        if table:  # extended on a copy: a stored table never changes
-            table = table + array("d", fresh)
-        elif len(fresh) < _MIN_KEPT:
-            return fresh
-        else:
-            table = array("d", fresh)
-        self._store(key, table)
+        table = table + array("d", fresh)  # on a copy: a stored table never changes
+        if len(table) >= _MIN_KEPT:
+            self._store(key, table)
         return table
 
     def _store(self, key: tuple[float, float, float], table: array) -> None:
@@ -231,12 +225,13 @@ class _CoefficientTables:
                 self.stored -= len(old)
             self._tables[key] = table
             self.stored += len(table)
-            while self.stored > self.budget:
-                self.stored -= len(self._tables.popitem(last=False)[1])
+            while self.stored > self.budget:  # dicts keep insertion order: oldest first
+                self.stored -= len(self._tables.pop(next(iter(self._tables))))
 
 
-#: Shorter tables are rebuilt on every call: storing one costs about as much
-#: as building it, and most belong to a tiny z met once.
+#: Shorter tables are built on every request and never stored: a pointwise
+#: pass (perfbench) asks for 1,901 of them, most for a tiny z met once, and
+#: storing them as well raised its peak_rss_mb by 3.6% (bound 5%).
 _MIN_KEPT = 16
 #: Shared by every series sum, and sized to hold a whole warm working set: a
 #: certify pass (`verify --grid p:1.5:4:6,q:1.5:4:6`) holds about 98,000
@@ -262,8 +257,7 @@ def _series_terms(a: float, b: float, c: float, z: float) -> int:
     return 1 if n < 1 else MAX_TERMS if n > MAX_TERMS else n
 
 
-def _series_2f1(a: float, b: float, c: float, z: float,
-                rounding: bool = False) -> tuple[float, float]:
+def _series_2f1(a: float, b: float, c: float, z: float) -> tuple[float, float]:
     """Direct power series: the sum of t_k = (a)_k (b)_k / ((c)_k k!) z^k over
     k <= n, by Horner's rule over the family's cached coefficients.
 
@@ -271,8 +265,8 @@ def _series_2f1(a: float, b: float, c: float, z: float,
     |t_n| < 1e-16 |sum| and |t_n| <= |t_(n-1)|; it depends on (a, b, c, z)
     alone, never on what the cache holds. Returns (value, err_estimate): the
     first omitted term inflated by the geometric tail bound
-    |t_(n+1)| / (1 - |t_(n+1) / t_n|), plus, with `rounding`, a bound on the
-    rounding of the sum and of its coefficients. Raises DomainError when
+    |t_(n+1)| / (1 - |t_(n+1) / t_n|), plus, above SERIES_SWITCH, a bound on
+    the rounding of the sum and of its coefficients. Raises DomainError when
     MAX_TERMS terms do not meet the stopping rule.
     """
     n = _series_terms(a, b, c, z)
@@ -295,7 +289,7 @@ def _series_2f1(a: float, b: float, c: float, z: float,
         nxt = table[n + 1] * power * z * z
         ratio = abs(nxt / last)
         err = abs(nxt) / (1.0 - ratio) if ratio < 1.0 else math.inf
-    if rounding:
+    if z > SERIES_SWITCH:
         # Horner's rule rounds within 2n u of the sum of |t_k| (Higham,
         # Accuracy and Stability of Numerical Algorithms, 2nd ed., 5.1);
         # coefficient k carries about 8k u of its own; u = eps / 2.
@@ -486,7 +480,7 @@ def gauss_2f1(args: HypArgs) -> EvalResult:
     if m is not None and m > 1 and max(_series_terms(a, b, c, z), _series_terms(a, b, c, 1.0)) < m:
         # So large a gap makes the direct series' terms fall off within fewer
         # terms than the connection route's finite sum has.
-        result = EvalResult(*_series_2f1(a, b, c, z, rounding=True), METHOD_SERIES)
+        result = EvalResult(*_series_2f1(a, b, c, z), METHOD_SERIES)
     elif m is not None and not _polynomial_case(a, b, m):
         result = EvalResult(*_connection_2f1(a, b, m, w), METHOD_CONNECTION)
     # Large a, b let the log series cancel; the quadrature may then do better.
@@ -496,7 +490,7 @@ def gauss_2f1(args: HypArgs) -> EvalResult:
         if euler is not None and (result is None or euler.err_estimate < result.err_estimate):
             result = euler
     if result is None:
-        result = EvalResult(*_series_2f1(a, b, c, z, rounding=True), METHOD_SERIES)
+        result = EvalResult(*_series_2f1(a, b, c, z), METHOD_SERIES)
     if not math.isfinite(result.value):
         raise DivergenceError(f"2F1 exceeds the double range at z={z}, w={w}")
     if not math.isfinite(result.err_estimate):

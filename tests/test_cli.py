@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from pqelliptic.claims import CLAIMS
+from pqelliptic.claims import CLAIMS, DEFAULT_GRID, run_claim
 from pqelliptic.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -301,7 +301,7 @@ class TestExitCodeContractViaSubprocess:
     @pytest.mark.parametrize("args", [
         *((command, "--grid", grid) for command in ("scan", "regions", "verify")
           for grid in ("p:1.5:inf:3", "q:1.5:nan:3")),
-        *(("verify", "--claims", "prop1.2", "--tol", tol) for tol in ("nan", "0", "-1")),
+        *(("verify", "--claims", "prop1.2", "--tol", tol) for tol in ("nan", "inf", "0", "-1")),
     ])
     def test_non_finite_grid_or_non_positive_tolerance_is_two(self, args, tmp_path):
         if args[0] == "scan":
@@ -325,3 +325,8 @@ class TestRegistryCompleteness:
     def test_all_claims_have_descriptions(self):
         for claim_id, spec in CLAIMS.items():
             assert spec.description, claim_id
+
+    def test_unknown_claim_id_raises_key_error(self):
+        with pytest.raises(KeyError) as raised:
+            run_claim("bogus", DEFAULT_GRID)
+        assert raised.value.args == ("bogus",)

@@ -2,6 +2,7 @@
 and the sharp bounds."""
 
 import math
+import random
 import warnings
 from fractions import Fraction
 
@@ -302,7 +303,15 @@ class TestAdmissibility:
         assert epsilon(Fraction(2), Fraction(3)) == Fraction(109, 36)
 
     def test_epsilon_float_inputs(self):
-        assert epsilon(2.0, 2.0) == pytest.approx(2.4375, rel=1e-15)
+        # A float in either place gives the exact value, correctly rounded.
+        rng = random.Random(20261019)
+        pairs = [(2.0, 2.0), (2, 2.0)]
+        pairs += [(rng.uniform(1.01, 6.0), rng.uniform(1.01, 6.0)) for _ in range(2000)]
+        for p, q in pairs:
+            value = epsilon(p, q)
+            assert isinstance(value, float)
+            assert value == float(epsilon(Fraction(p), Fraction(q))), (p, q)
+        assert epsilon(2.0, 2.0) == 2.4375
 
     def test_epsilon_limit(self):
         assert epsilon(1e9, 1e9) == pytest.approx(20.0, abs=1e-6)
@@ -347,6 +356,12 @@ class TestAdmissibility:
             admissible(1.0, 2.0)
         with pytest.raises(DomainError):
             condition1(2.0, 0.3)
+
+    @pytest.mark.parametrize("p, error", [(math.inf, OverflowError), (math.nan, ValueError)])
+    @pytest.mark.parametrize("decide", [condition1, epsilon])
+    def test_non_finite_inputs_raise(self, decide, p, error):
+        with pytest.raises(error):
+            decide(p, 2.0)
 
 
 class TestSharpBounds:

@@ -5,6 +5,7 @@ import math
 import random
 import sys
 import threading
+from array import array
 
 import mpmath
 import pytest
@@ -523,6 +524,16 @@ class TestCoefficientTables:
             w = 10.0 ** (-12.0 + 11.0 * k / 19) * 0.9
             assert gauss_2f1(HypArgs(0.3, 0.75, 2.05, 1.0 - w, w)).method == "connection"
         assert calls == build
+
+    @pytest.mark.parametrize("n", [0, 1, special._MIN_KEPT - 2, special._MIN_KEPT - 1, 40])
+    def test_a_table_is_an_array_of_exactly_the_terms_asked(self, fresh_tables, n):
+        tables = fresh_tables()
+        table = tables.get(0.25, 0.5, 1.5, n)
+        assert isinstance(table, array) and table.typecode == "d"
+        assert len(table) == n + 1
+        # Only tables of at least _MIN_KEPT coefficients are stored.
+        assert tables.stored == (n + 1 if n + 1 >= special._MIN_KEPT else 0)
+        assert fresh_tables().get(0.25, 0.5, 1.5, 60)[:n + 1] == table
 
     def test_tables_hold_exactly_the_terms_asked(self, fresh_tables):
         walk = _library_walk(20261021)

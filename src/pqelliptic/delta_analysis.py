@@ -17,7 +17,7 @@ from fractions import Fraction
 from numbers import Rational
 
 from . import elliptic
-from .gentrig import PQParams, pi_pq
+from .gentrig import PQParams, _power_pair, pi_pq
 from .special import (
     METHOD_GAUSS_CLOSED_FORM,
     DomainError,
@@ -97,7 +97,7 @@ def H_def(a: float, b: float, r: float) -> float:
     _check_kernel_parameters(a, b)
     if not 0.0 < r <= 1.0:
         raise DomainError(f"defining kernel form requires r in (0, 1], got r={r}")
-    x, w = elliptic._power_pair(1.0 / b, r)
+    x, w = _power_pair(1.0 / b, r)
     if x < CANCELLATION_THRESHOLD:
         warnings.warn(
             f"kernel combination at internal argument {x:.3e} < {CANCELLATION_THRESHOLD}"
@@ -120,7 +120,7 @@ def H_closed(a: float, b: float, r: float) -> float:
     _check_kernel_parameters(a, b)
     if not 0.0 <= r <= 1.0:
         raise DomainError(f"closed kernel form requires r in [0, 1], got r={r}")
-    x, w = elliptic._power_pair(1.0 / b, r)
+    x, w = _power_pair(1.0 / b, r)
     at_zero = _kernel_at_zero(a, b, pi_pq(1.0 / b, 1.0 / a))
     return at_zero * gauss_2f1(_kernel_args(a, b, x, w)).value
 
@@ -134,7 +134,7 @@ def delta_result(params: PQParams, r: float) -> EvalResult:
         limit = constants.delta0 if r == 0.0 else constants.delta1
         return EvalResult(limit, 1e-15 * abs(limit), METHOD_GAUSS_CLOSED_FORM)
     a, b = params.inv_q, params.inv_p
-    x, w = elliptic._power_pair(params.p, r)
+    x, w = _power_pair(params.p, r)
     at_zero = _kernel_at_zero(a, b, params.pi_pq)  # pi_{1/b,1/a} = pi_{p,q}
     return (at_zero * gauss_2f1(_kernel_args(a, b, x, w))
             - at_zero * gauss_2f1(_kernel_args(a, b, w, x)))
@@ -159,7 +159,7 @@ def delta_via_elliptic(params: PQParams, r: float) -> float:
     """
     if not 0.0 < r < 1.0:
         raise DomainError(f"direct route requires r in (0, 1), got r={r}")
-    r_p, comp_p = elliptic._power_pair(params.p, r)
+    r_p, comp_p = _power_pair(params.p, r)
     k_val = elliptic.K_pq(params, r).value
     e_val = elliptic.E_pq(params, r).value
     k_comp = elliptic.K_comp(params, r).value
@@ -182,7 +182,7 @@ def delta_prime_result(params: PQParams, r: float) -> EvalResult:
     if not 0.0 < r < 1.0:
         raise DomainError(f"slope requires r in [0, 1), got r={r}")
     a1, b1, c1 = _derivative_front(params)
-    x, w = elliptic._power_pair(params.p, r)
+    x, w = _power_pair(params.p, r)
     return DeltaConstants.for_params(params).eta * r ** (params.p - 1.0) * (
         gauss_2f1(HypArgs(a1, b1, c1, x, w)) + gauss_2f1(HypArgs(a1, b1, c1, w, x)))
 
@@ -205,7 +205,7 @@ def _curvature_terms(
     if not 0.0 < r < 1.0:
         raise DomainError(f"curvature requires r in (0, 1), got r={r}")
     a1, b1, c1 = _derivative_front(params)
-    x, y = elliptic._power_pair(params.p, r)
+    x, y = _power_pair(params.p, r)
     f1x = gauss_2f1(HypArgs(a1, b1, c1, x, y))
     f1y = gauss_2f1(HypArgs(a1, b1, c1, y, x))
     f2x = gauss_2f1(HypArgs(a1 + 1.0, b1 + 1.0, c1 + 1.0, x, y))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .gentrig import PQParams, sin_pq
+from .gentrig import PQParams, _power_pair, sin_pq
 from .quadrature import tanh_sinh_01
 from .special import (
     METHOD_EULER_QUADRATURE,
@@ -42,17 +42,6 @@ class Modulus:
 
     def complement(self) -> "Modulus":
         return Modulus(self.r_comp, self.r)
-
-
-def _power_pair(p: float, r: float) -> tuple[float, float]:
-    """x = r**p and its complement 1 - x, each to full relative precision.
-
-    Above x = 1/2 the complement is -expm1(p*log(r)), which stays exact to
-    a few ulps of itself as x -> 1 (and is positive for every r < 1 even
-    when x rounds to 1); below, 1 - x loses nothing.
-    """
-    x = r ** p
-    return x, (1.0 - x if x <= 0.5 else -math.expm1(p * math.log(r)))
 
 
 def K_pq(params: PQParams, r: float) -> EvalResult:

@@ -1,5 +1,5 @@
 """Generalized trigonometric layer: the two-parameter half-period constant,
-the generalized arcsine, and its inverse obtained by safeguarded root-finding.
+the generalized arcsine, and its inverse obtained by Newton's method.
 
 The arcsine adopted here is the integral of (1 - t**q)**(-1/p) on [0, x],
 the convention under which twice its value at 1 equals the beta-function
@@ -18,7 +18,7 @@ from .special import DomainError, beta, inc_beta
 
 @dataclass(frozen=True)
 class PQParams:
-    """Validated parameter pair (p, q), both strictly greater than 1.
+    """Validated parameter pair (p, q), both finite and strictly greater than 1.
 
     Immutable after construction; the generalized circle constant and the
     reciprocal exponents are cached at creation time.
@@ -31,11 +31,9 @@ class PQParams:
     pi_pq: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if not (self.p > 1.0 and self.q > 1.0):
-            raise DomainError(f"parameters require p > 1 and q > 1, got p={self.p}, q={self.q}")
+        object.__setattr__(self, "pi_pq", pi_pq(self.p, self.q))  # validates p and q
         object.__setattr__(self, "inv_p", 1.0 / self.p)
         object.__setattr__(self, "inv_q", 1.0 / self.q)
-        object.__setattr__(self, "pi_pq", pi_pq(self.p, self.q))
 
     @property
     def half_period(self) -> float:
@@ -44,30 +42,50 @@ class PQParams:
 
 def pi_pq(p: float, q: float) -> float:
     """Generalized circle constant (2/q) * B(1 - 1/p, 1/q)."""
-    if not (p > 1.0 and q > 1.0):
-        raise DomainError(f"pi_pq requires p > 1 and q > 1, got p={p}, q={q}")
+    if not (1.0 < p < math.inf and 1.0 < q < math.inf):
+        raise DomainError(f"parameters require finite p > 1 and q > 1, got p={p}, q={q}")
     return (2.0 / q) * beta(1.0 - 1.0 / p, 1.0 / q)
+
+
+def _power_pair(p: float, r: float) -> tuple[float, float]:
+    """x = r**p and its complement 1 - x, each to full relative precision.
+
+    Above x = 1/2 the complement is -expm1(p*log(r)), which stays exact to
+    a few ulps of itself as x -> 1 (and is positive for every r < 1 even
+    when x rounds to 1); below, 1 - x loses nothing.
+    """
+    x = r ** p
+    return x, (1.0 - x if x <= 0.5 else -math.expm1(p * math.log(r)))
 
 
 def arcsin_pq(params: PQParams, x: float) -> float:
     """Generalized arcsine on [0, 1], evaluated in closed form.
 
-    The substitution u = t**q turns the defining integral into an
-    incomplete beta function: (1/q) * B(x**q; 1/q, 1 - 1/p). Strictly
-    increasing, with arcsin_pq(1) equal to half the generalized period.
+    The substitution u = t**q turns the defining integral into an incomplete
+    beta function: (1/q) * B(x**q; 1/q, 1 - 1/p), or above x**q = 1/2 half the
+    period less (1/q) * B(1 - x**q; 1 - 1/p, 1/q) (DLMF 8.17.4), with 1 - x**q
+    formed exactly. Strictly increasing; arcsin_pq(1) is half the period.
     """
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"arcsin_pq requires x in [0, 1], got x={x}")
-    return params.inv_q * inc_beta(x ** params.q, params.inv_q, 1.0 - params.inv_p)
+    u, w = _power_pair(params.q, x)
+    if u <= math.ulp(1.0):  # the integral is x (1 + O(x**q)); x**q may underflow
+        return x
+    if u <= 0.5:
+        return params.inv_q * inc_beta(u, params.inv_q, 1.0 - params.inv_p)
+    return params.half_period - params.inv_q * inc_beta(w, 1.0 - params.inv_p, params.inv_q)
 
 
 def sin_pq(params: PQParams, t: float) -> float:
     """Generalized sine: the inverse of arcsin_pq on [0, half period].
 
-    Newton iteration with the exact inverse-function derivative, bracketed
-    by bisection; pure bisection takes over in the last 1e-3 of the upper
-    bracket where the arcsine derivative blows up. Stops at a bracket two
-    ulps wide; raises DomainError if 200 iterations do not reach one.
+    Newton's method on F(y) = B(y**(1/a); a, b) = T, increasing and convex
+    with slope 1/a at 0: the lower form (a, b, T) = (1/q, 1 - 1/p, q t) with
+    x = y, or its mirror (1 - 1/p, 1/q, q (half - t)) with x = (1 - y**(1/a))**(1/q),
+    whichever starts lower. The start a T, where the tangent at 0 meets T, is
+    at most G(1+a) G(1+b) / G(1+a+b) <= 1 and lies above the root, so the
+    iterates descend. Stops once a step descends by two ulps of y or less;
+    raises DomainError if 200 steps do not get there.
     """
     half = params.half_period
     if t < 0.0 or t > half:
@@ -79,24 +97,16 @@ def sin_pq(params: PQParams, t: float) -> float:
     if abs(t - half) <= 1e-15:
         return 1.0
 
-    lo, hi = 0.0, 1.0
-    x = min(1.0 - 1e-9, t / half)
+    a, b, upper = params.inv_q, 1.0 - params.inv_p, params.q * (half - t)
+    lower = t <= b * upper
+    a, b, target = (a, b, params.q * t) if lower else (b, a, upper)
+    y = a * target
     for _ in range(200):
-        residual = arcsin_pq(params, x) - t
-        if abs(residual) < 1e-14:
-            return x
-        if residual > 0.0:
-            hi = x
-        else:
-            lo = x
-        if hi - lo <= 2.0 * math.ulp(hi):
-            return x
-        if x > 1.0 - 1e-3:
-            x = 0.5 * (lo + hi)
-            continue
-        step = -residual * (1.0 - x ** params.q) ** params.inv_p
-        candidate = x + step
-        if candidate <= lo or candidate >= hi:
-            candidate = 0.5 * (lo + hi)
-        x = candidate
+        u = y ** (1.0 / a)
+        # F(y) = (y/a) (1 + O(u)): below u = eps, y = a T is the root (u may underflow).
+        residual = inc_beta(u, a, b) - target if u > math.ulp(1.0) else 0.0
+        step = residual * a * (1.0 - u) ** (1.0 - b)
+        y -= step
+        if step <= 2.0 * math.ulp(y):
+            return y if lower else (1.0 - y ** (1.0 / a)) ** params.inv_q
     raise DomainError(f"sin_pq did not converge in 200 iterations for t={t}")

@@ -297,6 +297,11 @@ class TestExitCodeContractViaSubprocess:
         proc = self.run_cli("eval", "--p", "2", "--q", "2", "--r", "2",
                             "--quantity", "K")
         assert proc.returncode == 2
+        # An infinite exponent is refused, not evaluated as a limit.
+        proc = self.run_cli("eval", "--p", "inf", "--q", "2", "--r", "0.5",
+                            "--quantity", "K")
+        assert proc.returncode == 2
+        assert "finite p > 1" in proc.stderr
 
     @pytest.mark.parametrize("args", [
         *((command, "--grid", grid) for command in ("scan", "regions", "verify")

@@ -1,13 +1,28 @@
 """Generalized trigonometric layer: half period, arcsine, sine inversion."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from pqelliptic import DomainError, PQParams, arcsin_pq, claims, gentrig, pi_pq, sin_pq
+from pqelliptic import (
+    DomainError, PQParams, arcsin_pq, claims, gentrig, pi_pq, sin_pq, special)
+
+
+def count_inc_beta(monkeypatch):
+    """Record the arguments of every incomplete-beta call made by gentrig."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return special.inc_beta(*args)
+
+    monkeypatch.setattr(gentrig, "inc_beta", counted)
+    return calls
+
 
 # Frozen from adaptive quadrature of (1 - t**2)**(-1/3) on [0, 0.7]
 # (the adopted integrand at p=3, q=2; abserr 1.4e-14).
@@ -20,6 +35,9 @@ class TestParams:
             PQParams(1.0, 2.0)
         with pytest.raises(DomainError):
             PQParams(2.0, 0.9)
+        for p, q in ((math.inf, 2.0), (2.0, math.inf), (math.nan, 2.0)):
+            with pytest.raises(DomainError, match="finite"):
+                PQParams(p, q)
         with pytest.raises(TypeError):
             PQParams(2.0, 3.0, pi_pq=99.0)  # derived fields are not arguments
 
@@ -49,6 +67,8 @@ class TestPiPQ:
             pi_pq(1.0, 2.0)
         with pytest.raises(DomainError):
             pi_pq(2.0, 0.5)
+        with pytest.raises(DomainError):
+            pi_pq(2.0, math.inf)
 
 
 class TestArcsin:
@@ -73,6 +93,18 @@ class TestArcsin:
         params = PQParams(1.8, 3.2)
         values = [arcsin_pq(params, 0.05 * k) for k in range(21)]
         assert all(values[i] < values[i + 1] for i in range(20))
+
+    def test_near_one(self):
+        # The mirror form takes 1 - x**q exactly, not from the rounded x**q.
+        mpmath = pytest.importorskip("mpmath")
+        classical, params = PQParams(2.0, 2.0), PQParams(3.0, 1.5)
+        with mpmath.workdps(40):
+            for k in range(6, 15):
+                x = 1.0 - 10.0 ** -k
+                assert abs(arcsin_pq(classical, x) - math.asin(x)) <= 2e-15
+                exact = mpmath.betainc(1 / mpmath.mpf(1.5), 1 - 1 / mpmath.mpf(3), 0,
+                                       mpmath.mpf(x) ** 1.5) / 1.5
+                assert abs(arcsin_pq(params, x) - float(exact)) <= 2e-15
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -109,18 +141,47 @@ class TestSin:
                 assert fd == pytest.approx((1.0 - s ** q) ** (1.0 / p), abs=1e-6)
 
     def test_stops_once_the_bracket_is_two_ulps_wide(self, monkeypatch):
-        # In [0.5, 1) adjacent floats are 1.1e-16 apart, so a bracket width
-        # test against a fixed 1e-16 never fired and all 200 iterations ran.
+        # Near x = 1 the mirror form's Newton iteration stops within two ulps
+        # after a few incomplete-beta evaluations; bisection there took 40.
         params = PQParams(2.0, 3.0)
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return arcsin_pq(*args)
-
-        monkeypatch.setattr(gentrig, "arcsin_pq", counted)
+        calls = count_inc_beta(monkeypatch)
         assert sin_pq(params, 0.9999 * params.half_period) == 0.9999999852541401
-        assert len(calls) <= 60
+        assert len(calls) <= 10
+
+    def test_few_steps_near_both_ends(self, monkeypatch):
+        calls = count_inc_beta(monkeypatch)
+        rng = random.Random(16)
+        for _ in range(300):
+            params = PQParams(rng.uniform(1.01, 51.0), rng.uniform(1.01, 51.0))
+            for x in (rng.uniform(0.0, 1e-14), 1.0 - rng.uniform(0.0, 1e-14), rng.random()):
+                t = arcsin_pq(params, x)
+                calls.clear()
+                assert abs(sin_pq(params, t) - x) < 4e-15
+                assert len(calls) <= 10
+
+    def test_monotone_across_the_split(self):
+        # Below t* the lower form is solved, above it the mirror image.
+        rng = random.Random(17)
+        for _ in range(10):
+            params = PQParams(rng.uniform(1.01, 51.0), rng.uniform(1.01, 51.0))
+            b = 1.0 - params.inv_p
+            split = b * params.q * params.half_period / (1.0 + b * params.q)
+            for spacing in (1e-8, 1e-13):
+                values = [sin_pq(params, split * (1.0 + spacing * k)) for k in range(-20, 21)]
+                assert all(values[i] <= values[i + 1] for i in range(40))
+
+    def test_start_is_the_root_where_x_to_the_q_underflows(self):
+        # F(y) = (y/a) (1 + O(u)), so once u = y**(1/a) is below eps no step is taken.
+        assert sin_pq(PQParams(2.0, 51.0), 1e-10) == 1e-10
+        assert arcsin_pq(PQParams(2.0, 51.0), 1e-10) == 1e-10
+        params = PQParams(1.01, 2.0)  # u = 1 - x**q underflows within 0.04 of half
+        assert sin_pq(params, params.half_period - 1e-6) == 1.0
+
+    def test_refuses_after_the_step_cap(self, monkeypatch):
+        monkeypatch.setattr(gentrig, "inc_beta", lambda *args: math.nan)
+        params = PQParams(2.0, 3.0)
+        with pytest.raises(DomainError, match="200 iterations for t=0.5"):
+            sin_pq(params, 0.5)
 
     def test_domain(self):
         params = PQParams(2.0, 2.0)

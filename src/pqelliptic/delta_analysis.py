@@ -89,26 +89,31 @@ def H_def(a: float, b: float, r: float) -> float:
     """Kernel H_{a,b}(r) evaluated by its defining two-term combination.
 
     This is the normalized second-minus-first-kind combination
-    (E - (r')**p * K) / r**p expressed in the symmetric parameters
-    a, b; r itself is the modulus and x = r**(1/b) feeds the series.
-    Emits CancellationWarning when x < 0.05, where the two terms agree
-    to many digits and the subtraction loses precision.
+    (E - (r')**p * K) / r**p at (p, q) = (1/b, 1/a); r is the modulus.
+    Emits CancellationWarning when x = r**p < 0.05, where the two terms
+    agree to many digits and the subtraction loses precision.
     """
     _check_kernel_parameters(a, b)
     if not 0.0 < r <= 1.0:
         raise DomainError(f"defining kernel form requires r in (0, 1], got r={r}")
-    x, w = _power_pair(1.0 / b, r)
+    params = PQParams(1.0 / b, 1.0 / a)
+    x, w = _power_pair(params.p, r)
     if x < CANCELLATION_THRESHOLD:
         warnings.warn(
             f"kernel combination at internal argument {x:.3e} < {CANCELLATION_THRESHOLD}"
             " subtracts nearly equal values; use the closed form instead",
             CancellationWarning, stacklevel=2)
-    prefactor = pi_pq(1.0 / b, 1.0 / a) / (2.0 * x)
-    first = gauss_2f1(HypArgs(a, -b, 1.0 + a - b, x, w)).value
-    if w == 0.0:
-        return prefactor * first
-    second = gauss_2f1(HypArgs(a, 1.0 - b, 1.0 + a - b, x, w)).value
-    return prefactor * (first - w * second)
+    return _defining_combination(params, x, w)
+
+
+def _defining_combination(params: PQParams, x: float, w: float) -> float:
+    """(E - w K) / x at the exact pair z = x, w = 1 - x. K, which diverges at
+    x = 1 where its weight w vanishes, enters only while w > 0."""
+    if x == 0.0:
+        raise DomainError("defining combination requires r**p > 0")
+    e_val = elliptic._complete_integral(params, False, x, w).value
+    k_term = w * elliptic._complete_integral(params, True, x, w).value if w > 0.0 else 0.0
+    return (e_val - k_term) / x
 
 
 def H_closed(a: float, b: float, r: float) -> float:
@@ -159,12 +164,8 @@ def delta_via_elliptic(params: PQParams, r: float) -> float:
     """
     if not 0.0 < r < 1.0:
         raise DomainError(f"direct route requires r in (0, 1), got r={r}")
-    r_p, comp_p = _power_pair(params.p, r)
-    k_val = elliptic.K_pq(params, r).value
-    e_val = elliptic.E_pq(params, r).value
-    k_comp = elliptic.K_comp(params, r).value
-    e_comp = elliptic.E_comp(params, r).value
-    return (e_val - comp_p * k_val) / r_p - (e_comp - r_p * k_comp) / comp_p
+    x, w = _power_pair(params.p, r)
+    return _defining_combination(params, x, w) - _defining_combination(params, w, x)
 
 
 def _derivative_front(params: PQParams) -> tuple[float, float, float]:
@@ -249,20 +250,15 @@ def delta_second_sign_variant(params: PQParams, r: float) -> float:
 def epsilon(p, q):
     """Admissibility margin of condition (2): a rational expression in 1/p, 1/q.
 
-    Computed exactly on the ratios of p and q (binary floats convert
-    exactly): a Fraction for int or Fraction inputs, otherwise that value
-    correctly rounded to a float.
+    Computed exactly on the ratios of p, q > 1 (DomainError otherwise): a
+    Fraction for int or Fraction inputs, otherwise that value correctly
+    rounded to a float.
     """
-    pn, pd, qn, qd = *_ratio(p), *_ratio(q)
+    pn, pd, qn, qd = _admissibility_ratios(p, q)
     numerator, denominator = _epsilon_numerator(pn, pd, qn, qd), pn ** 3 * qn ** 2
     if isinstance(p, Rational) and isinstance(q, Rational):
         return Fraction(numerator, denominator)
     return numerator / denominator  # int / int rounds correctly
-
-
-def _ratio(x) -> tuple[int, int]:
-    """x = numerator / denominator exactly, denominator > 0; binary floats convert exactly."""
-    return (x if isinstance(x, (int, float, Fraction)) else Fraction(x)).as_integer_ratio()
 
 
 def _epsilon_numerator(pn: int, pd: int, qn: int, qd: int) -> int:
@@ -273,9 +269,10 @@ def _epsilon_numerator(pn: int, pd: int, qn: int, qd: int) -> int:
 
 
 def _admissibility_ratios(p, q) -> tuple[int, int, int, int]:
-    """(pn, pd, qn, qd) with p = pn/pd and q = qn/qd exactly; p, q > 1 or DomainError."""
-    pn, pd = _ratio(p)
-    qn, qd = _ratio(q)
+    """(pn, pd, qn, qd) with p = pn/pd and q = qn/qd exactly (binary floats convert
+    exactly), pd, qd > 0; p, q > 1 or DomainError."""
+    (pn, pd), (qn, qd) = ((x if isinstance(x, (int, float, Fraction)) else Fraction(x))
+                          .as_integer_ratio() for x in (p, q))
     if not (pn > pd and qn > qd):
         raise DomainError(f"admissibility requires p > 1 and q > 1, got p={p}, q={q}")
     return pn, pd, qn, qd

@@ -38,7 +38,9 @@ class Modulus:
 
     @classmethod
     def for_params(cls, params: PQParams, r: float) -> "Modulus":
-        return cls(r, _complementary_pair(params, r)[0] ** params.inv_p)
+        if not 0.0 < r < 1.0:
+            raise DomainError(f"modulus must lie in (0, 1), got r={r}")
+        return cls(r, _power_pair(params.p, r)[1] ** params.inv_p)
 
     def complement(self) -> "Modulus":
         return Modulus(self.r_comp, self.r)
@@ -74,22 +76,18 @@ def _complete_integral(params: PQParams, first_kind: bool, z: float, w: float) -
     return 0.5 * params.pi_pq * gauss_2f1(_complete_args(params, first_kind, z, w))
 
 
-def _complementary_pair(params: PQParams, r: float) -> tuple[float, float]:
-    """(r'**p, 1 - r'**p) = (1 - r**p, r**p) for the complementary modulus r'."""
-    if not 0.0 < r < 1.0:
-        raise DomainError(f"modulus must lie in (0, 1), got r={r}")
-    x, w = _power_pair(params.p, r)
-    return w, x
-
-
 def K_comp(params: PQParams, r: float) -> EvalResult:
-    """First-kind integral at the complementary modulus."""
-    return _complete_integral(params, True, *_complementary_pair(params, r))
+    """First-kind integral at the complementary modulus; finite on (0, 1], infinite at r = 0."""
+    if not 0.0 < r <= 1.0:
+        raise DomainError(f"complementary first-kind integral requires r in (0, 1], got r={r}")
+    return _complete_integral(params, True, *reversed(_power_pair(params.p, r)))
 
 
 def E_comp(params: PQParams, r: float) -> EvalResult:
-    """Second-kind integral at the complementary modulus."""
-    return _complete_integral(params, False, *_complementary_pair(params, r))
+    """Second-kind integral at the complementary modulus; finite on [0, 1]."""
+    if not 0.0 <= r <= 1.0:
+        raise DomainError(f"complementary second-kind integral requires r in [0, 1], got r={r}")
+    return _complete_integral(params, False, *reversed(_power_pair(params.p, r)))
 
 
 def euler_integral_oracle(args: HypArgs) -> EvalResult:

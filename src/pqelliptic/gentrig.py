@@ -85,17 +85,14 @@ def sin_pq(params: PQParams, t: float) -> float:
     whichever starts lower. The start a T, where the tangent at 0 meets T, is
     at most G(1+a) G(1+b) / G(1+a+b) <= 1 and lies above the root, so the
     iterates descend. Stops once a step descends by two ulps of y or less;
-    raises DomainError if 200 steps do not get there.
+    raises DomainError if 200 steps do not get there. t up to four ulps of
+    half outside [0, half] is clamped in; the ends' target 0 starts at the root.
     """
     half = params.half_period
-    if t < 0.0 or t > half:
-        # Tolerate endpoint values that round a hair outside the interval.
-        if abs(t) > 1e-15 and abs(t - half) > 1e-15:
-            raise DomainError(f"sin_pq requires t in [0, {half}], got t={t}")
-    if abs(t) <= 1e-15:
-        return 0.0
-    if abs(t - half) <= 1e-15:
-        return 1.0
+    slack = 4.0 * math.ulp(half)  # endpoint values that round a hair outside
+    if not -slack <= t <= half + slack:
+        raise DomainError(f"sin_pq requires t in [0, {half}], got t={t}")
+    t = min(max(0.0, t), half)
 
     a, b, upper = params.inv_q, 1.0 - params.inv_p, params.q * (half - t)
     lower = t <= b * upper

@@ -201,6 +201,17 @@ class TestVerify:
                                   "where its subtraction loses digits, first at p=6, q=2, "
                                   "r=0.05"]
 
+    def test_lemma23_notes_samples_where_the_argument_rounds_to_one(self, runner, tmp_path):
+        # At p = 40, r = 0.3 the proof instantiation's z = 1 - r**p rounds to 1.
+        out = tmp_path / "report.json"
+        result = runner.invoke(main, ["verify", "--claims", "lemma2.3",
+                                      "--grid", "p:31:40:2,q:1.5:4:2", "--out", str(out)])
+        assert result.exit_code == 0
+        claim = json.loads(out.read_text())["claims"][0]
+        assert claim["status"] == "pass"
+        assert claim["notes"] == ["proof instantiation skipped 2 sample(s) where 1 - r**p "
+                                  "rounds to 1, first at p=40, q=1.5, r=0.3"]
+
     def test_report_schema(self, runner, tmp_path):
         # The layout documented under "Verification report JSON" in README.md.
         out = tmp_path / "report.json"

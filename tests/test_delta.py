@@ -16,10 +16,12 @@ from pqelliptic import (
     DeltaConstants,
     DivergenceError,
     DomainError,
+    E_pq,
     H_closed,
     H_def,
     HypArgs,
     InadmissibleWarning,
+    K_pq,
     PQParams,
     admissible,
     condition1,
@@ -37,7 +39,7 @@ from pqelliptic import (
     product_gap_in_bounds,
     sharp_linear_bounds,
 )
-from pqelliptic import delta_analysis
+from pqelliptic import delta_analysis, gentrig
 from pqelliptic.delta_analysis import delta_prime_result, delta_result, delta_second_result
 
 P22 = PQParams(2.0, 2.0)
@@ -102,6 +104,23 @@ class TestKernel:
     def test_closed_form_classical_endpoint_is_gamma_ratio(self):
         # (pi/4) * F(1/2, 1/2; 2; 1) = (pi/4) * (4/pi) = 1
         assert H_closed(0.5, 0.5, 1.0) == pytest.approx(1.0, rel=1e-13)
+
+    def test_defining_form_is_the_public_combination(self):
+        # H_{a,b} is (E - (1 - r**p) K) / r**p at (p, q) = (1/b, 1/a), with
+        # 1 - r**p formed exactly as the integrals form it.
+        rng = random.Random(17)
+        for _ in range(200):
+            a, b = rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9)
+            r = rng.uniform(delta_analysis.CANCELLATION_THRESHOLD ** b, 1.0)
+            params = PQParams(1.0 / b, 1.0 / a)
+            x, w = gentrig._power_pair(params.p, r)
+            expected = (E_pq(params, r).value - w * K_pq(params, r).value) / x
+            assert abs(H_def(a, b, r) - expected) <= 4 * math.ulp(expected)
+
+    def test_underflowing_power_is_a_domain_error(self):
+        # r**2 underflows to 0: the combination divides by it.
+        with pytest.warns(CancellationWarning), pytest.raises(DomainError):
+            H_def(0.5, 0.5, 1e-200)
 
     def test_domains(self):
         with pytest.raises(DomainError):
@@ -362,6 +381,13 @@ class TestAdmissibility:
     def test_non_finite_inputs_raise(self, decide, p, error):
         with pytest.raises(error):
             decide(p, 2.0)
+
+    @pytest.mark.parametrize("p, q", [(0, 2), (0.5, 2), (1, 2.0), (2.0, 1.0),
+                                      (Fraction(3, 2), Fraction(1, 2))])
+    def test_epsilon_refuses_exponents_at_most_one(self, p, q):
+        # The margin is defined only for p, q > 1, where condition1 and admissible are.
+        with pytest.raises(DomainError):
+            epsilon(p, q)
 
 
 class TestSharpBounds:

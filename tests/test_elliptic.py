@@ -158,11 +158,19 @@ class TestComplements:
         w = 1e-160 ** 2
         assert K_comp(P22, 1e-160).value == pytest.approx(math.log(4.0 / math.sqrt(w)), rel=1e-14)
 
+    def test_finite_ends_are_the_direct_values(self):
+        # r' = 0 at r = 1 and r' = 1 at r = 0: the same 2F1 at the same (z, w).
+        for params in (P22, PQParams(3.0, 1.5), PQParams(1.05, 2.0), PQParams(6.0, 1.1)):
+            assert K_comp(params, 1.0).value == K_pq(params, 0.0).value
+            assert E_comp(params, 0.0).value == E_pq(params, 1.0).value
+            assert E_comp(params, 1.0).value == E_pq(params, 0.0).value
+
     def test_domain(self):
         with pytest.raises(DomainError):
             K_comp(P22, 0.0)
+        assert E_comp(P22, 1.0).value == E_pq(P22, 0.0).value
         with pytest.raises(DomainError):
-            E_comp(P22, 1.0)
+            E_comp(P22, 1.5)
 
 
 class TestModulus:

@@ -177,6 +177,17 @@ class TestSin:
         params = PQParams(1.01, 2.0)  # u = 1 - x**q underflows within 0.04 of half
         assert sin_pq(params, params.half_period - 1e-6) == 1.0
 
+    def test_small_t_is_its_own_sine(self):
+        # sin t = t (1 + O(t**q)): far below eps**(1/q) the value is t itself.
+        params = PQParams(2.0, 2.0)
+        for t in (1e-15, 1e-300):
+            assert sin_pq(params, t) == t
+
+    def test_next_float_above_half_is_the_end(self):
+        # half = 11.18 at (1.05, 2), where one ulp of half is 1.8e-15.
+        params = PQParams(1.05, 2.0)
+        assert sin_pq(params, math.nextafter(params.half_period, math.inf)) == 1.0
+
     def test_refuses_after_the_step_cap(self, monkeypatch):
         monkeypatch.setattr(gentrig, "inc_beta", lambda *args: math.nan)
         params = PQParams(2.0, 3.0)

@@ -18,7 +18,7 @@ from typing import Iterator
 
 from . import delta_analysis as d
 from . import elliptic as el
-from .gentrig import PQParams, arcsin_pq, pi_pq, sin_pq
+from .gentrig import PQParams, _power_pair, arcsin_pq, pi_pq, sin_pq
 from .special import (
     DomainError,
     contiguous_residual,
@@ -138,6 +138,12 @@ def _fmt(x: float) -> str:
     return f"{x:.6e}"
 
 
+def _skip_notes(who: str, skipped: list[str], why: str) -> list[str]:
+    """The note on the samples a check skipped: their count, why, and the first."""
+    return ([f"{who} skipped {len(skipped)} sample(s) {why}, first at {skipped[0]}"]
+            if skipped else [])
+
+
 def _grid_params(grid: ScanGrid,
                  admissible_only: bool = False) -> Iterator[tuple[float, float, PQParams]]:
     """Walk the (p, q) grid in order, yielding (p, q, PQParams(p, q))."""
@@ -158,8 +164,7 @@ def _claim_lemma21(grid: ScanGrid, tol: float, result: ClaimResult) -> list[str]
         # Keep the internal argument above the documented cancellation
         # threshold; below it the defining combination cannot reach the
         # certification tolerance in double precision.
-        r_lo = max(0.05, d.CANCELLATION_THRESHOLD ** b)
-        r = rng.uniform(r_lo, 1.0)
+        r = rng.uniform(d.CANCELLATION_THRESHOLD ** b, 1.0)
         closed = d.H_closed(a, b, r)
         defined = d.H_def(a, b, r)
         rel = abs(defined - closed) / (1.0 + abs(closed))
@@ -185,9 +190,7 @@ def _claim_lemma23(grid: ScanGrid, tol: float, result: ClaimResult) -> list[str]
             else:
                 res = abs(contiguous_residual(sigma, alpha, rho, z))
                 result.residual(res, tol, {"p": p, "q": q, "r": r})
-    if skipped:
-        return [f"proof instantiation skipped {len(skipped)} sample(s) where 1 - r**p "
-                f"rounds to 1, first at {skipped[0]}"]
+    return _skip_notes("proof instantiation", skipped, "where 1 - r**p rounds to 1")
 
 
 def _claim_lemma24(grid: ScanGrid, tol: float, result: ClaimResult) -> list[str] | None:
@@ -310,24 +313,22 @@ def _claim_delta_antisymmetry(grid: ScanGrid, tol: float, result: ClaimResult) -
             result.residual(res, tol, {"p": p, "q": q, "r": r})
 
 
-#: delta.routes skips samples with r**p below this: the direct route's
-#: (E - (r')**p K) / r**p loses about 1e-16 / r**p there.
+#: delta.routes skips samples with r**p or 1 - r**p below this: the direct route
+#: (E - (r')**p K) / r**p loses about 1e-16 over the smaller of the two.
 ROUTES_MIN_X = 1e-6
 
 
 def _claim_delta_routes(grid: ScanGrid, tol: float, result: ClaimResult) -> list[str] | None:
-    band = [r for r in grid.r.points() if 0.05 <= r <= 0.95]  # direct route loses digits outside
     skipped: list[str] = []
     for p, q, params in _grid_params(grid):
-        for r in band:
-            if r ** p < ROUTES_MIN_X:
+        for r in grid.r.points():
+            if min(_power_pair(p, r)) < ROUTES_MIN_X:
                 skipped.append(f"p={p:g}, q={q:g}, r={r:g}")
                 continue
             direct = d.delta_via_elliptic(params, r)
             result.residual(abs(d.delta(params, r) - direct), tol, {"p": p, "q": q, "r": r})
-    if skipped:
-        return [f"direct route skipped {len(skipped)} sample(s) with r**p < {ROUTES_MIN_X:g}, "
-                f"where its subtraction loses digits, first at {skipped[0]}"]
+    return _skip_notes("direct route", skipped, f"with r**p or 1 - r**p < {ROUTES_MIN_X:g}, "
+                       "where its subtraction loses digits")
 
 
 def _claim_delta_range(grid: ScanGrid, tol: float, result: ClaimResult) -> list[str] | None:
@@ -335,19 +336,22 @@ def _claim_delta_range(grid: ScanGrid, tol: float, result: ClaimResult) -> list[
         constants = d.DeltaConstants.for_params(params)
         a, b = params.inv_q, params.inv_p
         low = d.H_closed(a, b, 0.0) - d.H_closed(a, b, 1.0)
-        high = d.H_closed(a, b, 1.0) - d.H_closed(a, b, 0.0)
+        high = -low  # a - b = -(b - a) exactly
         result.residual(abs(low - constants.delta0), tol, {"p": p, "q": q, "end": 0.0})
         result.residual(abs(high - constants.delta1), tol, {"p": p, "q": q, "end": 1.0})
 
 
 def _claim_derivatives(grid: ScanGrid, tol: float, result: ClaimResult) -> list[str] | None:
-    # tol applies to the slope check; the curvature check runs at 10x tol,
-    # matching the stated 1e-7 / 1e-6 pair when tol is the default.
+    # tol applies to the slope check, 10x tol to the curvature check (1e-7 / 1e-6 by default).
+    # The slope probe's truncation error grows like (h1/d)**2, d = min(r, 1 - r): skip where
+    # it may pass tol (h1 <= d/2 also keeps r +- h1 inside [0, 1]).
     variant_worst = 0.0
     h1, h2 = 1e-5, 1e-6
+    skipped: list[str] = []
     for p, q, params in _grid_params(grid, admissible_only=True):
         for r in grid.r.points():
-            if r - h1 <= 0.0 or r + h1 >= 1.0:
+            if (h1 / min(r, 1.0 - r)) ** 2 > min(tol, 0.25):
+                skipped.append(f"p={p:g}, q={q:g}, r={r:g}")
                 continue
             fd_slope = (d.delta(params, r + h1) - d.delta(params, r - h1)) / (2.0 * h1)
             slope = d.delta_prime(params, r)
@@ -366,7 +370,8 @@ def _claim_derivatives(grid: ScanGrid, tol: float, result: ClaimResult) -> list[
         "analytic termwise curvature (sum of F1 terms, difference of F2 terms) matches "
         "finite differences; the transposed sign pattern (difference of F1, sum of F2) "
         f"deviates from the same probe by up to {_fmt(variant_worst)} relative",
-    ]
+    ] + _skip_notes("finite-difference probe", skipped,
+                    "where its truncation error (h/d)**2, d = min(r, 1 - r), may pass tol")
 
 
 # --------------------------------------------------------------------------
@@ -464,14 +469,13 @@ CLAIMS: dict[str, ClaimSpec] = {
     "delta.antisymmetry": ClaimSpec(_claim_delta_antisymmetry, "difference function is "
                                     "antisymmetric under the complement map", 1e-12),
     "delta.routes": ClaimSpec(_claim_delta_routes, "kernel route and direct first/second-kind "
-                              "route agree on the interior band", 1e-9,
-                              skip_note="no grid r inside the [0.05, 0.95] cross-check band "
-                              "where the direct route is evaluable"),
+                              "route agree on the interior band", 1e-9),
     "delta.range": ClaimSpec(_claim_delta_range, "difference-function endpoint limits match the "
                              "closed-form constants", 1e-10),
     "derivatives": ClaimSpec(_claim_derivatives, "closed-form slope and curvature match central "
                              "finite differences (adjudicates the curvature sign pattern)", 1e-7,
-                             skip_note="no admissible (p, q) grid point"),
+                             skip_note="no admissible (p, q) grid point with r far enough "
+                             "from 0 and 1 for the finite-difference probe"),
     "thm1.3.monotone": ClaimSpec(_claim_thm13_monotone, "difference function strictly increases "
                                  "along r on every admissible grid point", None,
                                  skip_note=_INADMISSIBLE),

@@ -90,7 +90,7 @@ def H_def(a: float, b: float, r: float) -> float:
 
     This is the normalized second-minus-first-kind combination
     (E - (r')**p * K) / r**p at (p, q) = (1/b, 1/a); r is the modulus.
-    Emits CancellationWarning when x = r**p < 0.05, where the two terms
+    Emits CancellationWarning when 0 < x = r**p < 0.05, where the two terms
     agree to many digits and the subtraction loses precision.
     """
     _check_kernel_parameters(a, b)
@@ -98,7 +98,7 @@ def H_def(a: float, b: float, r: float) -> float:
         raise DomainError(f"defining kernel form requires r in (0, 1], got r={r}")
     params = PQParams(1.0 / b, 1.0 / a)
     x, w = _power_pair(params.p, r)
-    if x < CANCELLATION_THRESHOLD:
+    if 0.0 < x < CANCELLATION_THRESHOLD:
         warnings.warn(
             f"kernel combination at internal argument {x:.3e} < {CANCELLATION_THRESHOLD}"
             " subtracts nearly equal values; use the closed form instead",
@@ -160,7 +160,7 @@ def delta_via_elliptic(params: PQParams, r: float) -> float:
 
     Subtractive: (E - (1 - r**p) K) / r**p loses about 1e-16 / r**p, and the
     complementary term about 1e-16 / (1 - r**p). The route-equivalence
-    certification compares it on [0.05, 0.95] and skips r**p < 1e-6.
+    certification skips r where r**p or 1 - r**p is below 1e-6.
     """
     if not 0.0 < r < 1.0:
         raise DomainError(f"direct route requires r in (0, 1), got r={r}")
@@ -198,11 +198,10 @@ def delta_prime(params: PQParams, r: float) -> float:
     return delta_prime_result(params, r).value
 
 
-def _curvature_terms(
-    params: PQParams, r: float,
-) -> tuple[float, float, EvalResult, EvalResult, EvalResult, EvalResult]:
-    """Inputs shared by both curvature forms: x = r**p, the shift a1*b1/c1,
-    and F1, F2 at x and at 1 - x."""
+def _curvature(params: PQParams, r: float, sign: float) -> EvalResult:
+    """eta * ((p-1) r**(p-2) [F1(x) + sign F1(y)] + p r**(2p-2) (a1 b1/c1)
+    [F2(x) - sign F2(y)]) with x = r**p, y = 1 - x: the curvature at sign = 1,
+    its transposed sign pattern at sign = -1."""
     if not 0.0 < r < 1.0:
         raise DomainError(f"curvature requires r in (0, 1), got r={r}")
     a1, b1, c1 = _derivative_front(params)
@@ -211,15 +210,14 @@ def _curvature_terms(
     f1y = gauss_2f1(HypArgs(a1, b1, c1, y, x))
     f2x = gauss_2f1(HypArgs(a1 + 1.0, b1 + 1.0, c1 + 1.0, x, y))
     f2y = gauss_2f1(HypArgs(a1 + 1.0, b1 + 1.0, c1 + 1.0, y, x))
-    return x, a1 * b1 / c1, f1x, f1y, f2x, f2y
+    p = params.p
+    return DeltaConstants.for_params(params).eta * (
+        (p - 1.0) * r ** (p - 2.0) * (f1x + sign * f1y)
+        + p * r ** (2.0 * p - 2.0) * (a1 * b1 / c1) * (f2x - sign * f2y))
 
 
 def delta_second_result(params: PQParams, r: float) -> EvalResult:
-    _, shift, f1x, f1y, f2x, f2y = _curvature_terms(params, r)
-    p = params.p
-    return DeltaConstants.for_params(params).eta * (
-        (p - 1.0) * r ** (p - 2.0) * (f1x + f1y)
-        + p * r ** (2.0 * p - 2.0) * shift * (f2x - f2y))
+    return _curvature(params, r, 1.0)
 
 
 def delta_second(params: PQParams, r: float) -> float:
@@ -241,10 +239,7 @@ def delta_second_sign_variant(params: PQParams, r: float) -> float:
     points; the finite-difference probe in the verification report records
     which form it supports.
     """
-    x, shift, f1x, f1y, f2x, f2y = _curvature_terms(params, r)
-    p = params.p
-    return (DeltaConstants.for_params(params).eta * r ** (p - 2.0) * (
-        (p - 1.0) * (f1x - f1y) + p * shift * x * (f2x + f2y))).value
+    return _curvature(params, r, -1.0).value
 
 
 def epsilon(p, q):

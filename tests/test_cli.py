@@ -197,9 +197,36 @@ class TestVerify:
         claim = json.loads(out.read_text())["claims"][0]
         assert claim["status"] == "pass"
         assert claim["pass_count"] == 18
-        assert claim["notes"] == ["direct route skipped 1 sample(s) with r**p < 1e-06, "
-                                  "where its subtraction loses digits, first at p=6, q=2, "
-                                  "r=0.05"]
+        assert claim["notes"] == ["direct route skipped 1 sample(s) with r**p or 1 - r**p "
+                                  "< 1e-06, where its subtraction loses digits, first at p=6, "
+                                  "q=2, r=0.05"]
+
+    def test_routes_claim_certifies_r_near_both_ends(self, runner, tmp_path):
+        # r = 0.01 and 0.99 have r**2 = 1e-4 and 1 - r**2 = 0.0199, both above the floor.
+        out = tmp_path / "report.json"
+        result = runner.invoke(main, ["verify", "--claims", "delta.routes", "--p", "2",
+                                      "--q", "2", "--grid", "r:0.01:0.99:3", "--out", str(out)])
+        assert result.exit_code == 0
+        claim = json.loads(out.read_text())["claims"][0]
+        assert (claim["status"], claim["pass_count"], claim["notes"]) == ("pass", 3, [])
+
+    def test_derivatives_claim_skips_r_too_near_the_ends_for_its_probe(self, runner, tmp_path):
+        # At r = 0.001 the slope probe's truncation error (1e-5/0.001)**2 = 1e-4 passes tol.
+        out = tmp_path / "report.json"
+        result = runner.invoke(main, ["verify", "--claims", "derivatives",
+                                      "--grid", "r:0.001:0.999:9", "--out", str(out)])
+        assert result.exit_code == 0
+        claim = json.loads(out.read_text())["claims"][0]
+        assert claim["status"] == "pass" and claim["fail_count"] == 0
+        assert claim["notes"][1] == (
+            "finite-difference probe skipped 50 sample(s) where its truncation error "
+            "(h/d)**2, d = min(r, 1 - r), may pass tol, first at p=1.75, q=2.25, r=0.001")
+
+        result = runner.invoke(main, ["verify", "--claims", "derivatives", "--p", "2",
+                                      "--q", "2", "--r", "0.001", "--out", str(out)])
+        assert result.exit_code == 0
+        claim = json.loads(out.read_text())["claims"][0]
+        assert (claim["status"], claim["notes"]) == ("skipped", [CLAIMS["derivatives"].skip_note])
 
     def test_lemma23_notes_samples_where_the_argument_rounds_to_one(self, runner, tmp_path):
         # At p = 40, r = 0.3 the proof instantiation's z = 1 - r**p rounds to 1.

@@ -118,9 +118,11 @@ class TestKernel:
             assert abs(H_def(a, b, r) - expected) <= 4 * math.ulp(expected)
 
     def test_underflowing_power_is_a_domain_error(self):
-        # r**2 underflows to 0: the combination divides by it.
-        with pytest.warns(CancellationWarning), pytest.raises(DomainError):
-            H_def(0.5, 0.5, 1e-200)
+        # r**2 underflows to 0: the combination divides by it, and no warning comes first.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                H_def(0.5, 0.5, 1e-200)
 
     def test_domains(self):
         with pytest.raises(DomainError):
@@ -303,6 +305,46 @@ class TestDerivatives:
         variant = delta_second_sign_variant(params, r)
         assert abs(analytic - fd) < 1e-7
         assert abs(variant - fd) > 1e-2
+
+    @staticmethod
+    def _curvature_inputs(rng):
+        """A seeded (params, r) with r near 0, inside, or near 1, the shift
+        a1*b1/c1, x = r**p, and F1, F2 at x and at 1 - x."""
+        params = PQParams(rng.uniform(1.1, 6.0), rng.uniform(1.1, 6.0))
+        r = rng.choice((rng.uniform(1e-6, 1e-3), rng.uniform(1e-3, 1.0 - 1e-3),
+                        1.0 - rng.uniform(1e-6, 1e-3)))
+        a1, b1, c1 = 1.0 + params.inv_q, 2.0 - params.inv_p, 3.0 + params.inv_q - params.inv_p
+        x, y = gentrig._power_pair(params.p, r)
+        f1x, f1y = (gauss_2f1(HypArgs(a1, b1, c1, z, w)) for z, w in ((x, y), (y, x)))
+        f2x, f2y = (gauss_2f1(HypArgs(a1 + 1.0, b1 + 1.0, c1 + 1.0, z, w))
+                    for z, w in ((x, y), (y, x)))
+        return params, r, a1 * b1 / c1, x, f1x, f1y, f2x, f2y
+
+    def test_curvature_is_the_analytic_composition_bit_for_bit(self):
+        rng = random.Random(18)
+        for _ in range(60):
+            params, r, shift, _, f1x, f1y, f2x, f2y = self._curvature_inputs(rng)
+            eta, p = DeltaConstants.for_params(params).eta, params.p
+            front, back = (p - 1.0) * r ** (p - 2.0), p * r ** (2.0 * p - 2.0) * shift
+            result = delta_second_result(params, r)
+            assert result.value == eta * (front * (f1x.value + f1y.value)
+                                          + back * (f2x.value - f2y.value))
+            assert result.err_estimate == eta * (
+                front * (f1x.err_estimate + f1y.err_estimate)
+                + back * (f2x.err_estimate + f2y.err_estimate))
+
+    def test_sign_variant_is_the_transposed_composition(self):
+        # eta r**(p-2) ((p-1)(F1x - F1y) + p (a1 b1/c1) x (F2x + F2y)), to rounding
+        rng = random.Random(18)
+        for _ in range(60):
+            params, r, shift, x, f1x, f1y, f2x, f2y = self._curvature_inputs(rng)
+            eta, p = DeltaConstants.for_params(params).eta, params.p
+            f1x, f1y, f2x, f2y = (f.value for f in (f1x, f1y, f2x, f2y))
+            expected = eta * r ** (p - 2.0) * ((p - 1.0) * (f1x - f1y)
+                                               + p * shift * x * (f2x + f2y))
+            scale = eta * r ** (p - 2.0) * ((p - 1.0) * (abs(f1x) + abs(f1y))
+                                            + p * shift * x * (abs(f2x) + abs(f2y)))
+            assert abs(delta_second_sign_variant(params, r) - expected) <= 8 * math.ulp(scale)
 
     def test_domains(self):
         with pytest.raises(DomainError):

@@ -230,6 +230,7 @@ def _claim_legendre_anchor(grid: ScanGrid, tol: float, result: ClaimResult) -> l
 
 
 def _claim_euler_coherence(grid: ScanGrid, tol: float, result: ClaimResult) -> list[str] | None:
+    skipped: list[str] = []
     for p, q, params in _grid_params(grid):
         for r in grid.r.points():
             z = r ** p
@@ -238,8 +239,15 @@ def _claim_euler_coherence(grid: ScanGrid, tol: float, result: ClaimResult) -> l
             # a and b swapped (2F1 is symmetric in them): the oracle needs c > b > 0
             second_kind = replace(second_kind, a=second_kind.b, b=second_kind.a)
             for tag, args in (("K", first_kind), ("E", second_kind)):
-                res = abs(gauss_2f1(args).value - el.euler_integral_oracle(args).value)
+                try:
+                    oracle = el.euler_integral_oracle(args).value
+                except DomainError:
+                    skipped.append(f"p={p:g}, q={q:g}, r={r:g}, quantity={tag}")
+                    continue
+                res = abs(gauss_2f1(args).value - oracle)
                 result.residual(res, tol, {"p": p, "q": q, "r": r, "quantity": tag})
+    return _skip_notes("Euler quadrature", skipped,
+                       f"it refuses (1 - r**p < {el.EULER_ORACLE_MIN_W:g}, or no convergence)")
 
 
 def _claim_gauss_boundary(grid: ScanGrid, tol: float, result: ClaimResult) -> list[str] | None:
@@ -344,13 +352,15 @@ def _claim_delta_range(grid: ScanGrid, tol: float, result: ClaimResult) -> list[
 def _claim_derivatives(grid: ScanGrid, tol: float, result: ClaimResult) -> list[str] | None:
     # tol applies to the slope check, 10x tol to the curvature check (1e-7 / 1e-6 by default).
     # The slope probe's truncation error grows like (h1/d)**2, d = min(r, 1 - r): skip where
-    # it may pass tol (h1 <= d/2 also keeps r +- h1 inside [0, 1]).
+    # it may pass the registered tolerance, whatever tol is given, so that a tighter tol
+    # probes the same samples (h1 <= d/2 also keeps r +- h1 inside [0, 1]).
+    probe_tol = CLAIMS["derivatives"].tolerance
     variant_worst = 0.0
     h1, h2 = 1e-5, 1e-6
     skipped: list[str] = []
     for p, q, params in _grid_params(grid, admissible_only=True):
         for r in grid.r.points():
-            if (h1 / min(r, 1.0 - r)) ** 2 > min(tol, 0.25):
+            if (h1 / min(r, 1.0 - r)) ** 2 > probe_tol:
                 skipped.append(f"p={p:g}, q={q:g}, r={r:g}")
                 continue
             fd_slope = (d.delta(params, r + h1) - d.delta(params, r - h1)) / (2.0 * h1)
@@ -366,12 +376,13 @@ def _claim_derivatives(grid: ScanGrid, tol: float, result: ClaimResult) -> list[
             variant = d.delta_second_sign_variant(params, r)
             variant_worst = max(variant_worst,
                                 abs(variant - fd_curv) / max(abs(fd_curv), 1e-30))
-    return [
+    notes = [
         "analytic termwise curvature (sum of F1 terms, difference of F2 terms) matches "
         "finite differences; the transposed sign pattern (difference of F1, sum of F2) "
         f"deviates from the same probe by up to {_fmt(variant_worst)} relative",
-    ] + _skip_notes("finite-difference probe", skipped,
-                    "where its truncation error (h/d)**2, d = min(r, 1 - r), may pass tol")
+    ] if result.pass_count + result.fail_count else []
+    return notes + _skip_notes("finite-difference probe", skipped, "where its truncation "
+                               "error (h/d)**2, d = min(r, 1 - r), may pass tol")
 
 
 # --------------------------------------------------------------------------
@@ -496,12 +507,12 @@ def run_claim(claim_id: str, grid: ScanGrid, tol: float | None = None) -> ClaimR
     tolerance = None if strict else (tol if tol is not None else spec.tolerance)
     result = ClaimResult(claim_id, spec.description, "skipped", 0, 0,
                          MIN_MARGIN if strict else MAX_ABS_RESIDUAL, tolerance, None, None)
-    notes = spec.fn(grid, tolerance, result)
+    notes = spec.fn(grid, tolerance, result) or []
     if result.pass_count == result.fail_count == 0:
-        result.notes = [spec.skip_note]
+        result.notes = [spec.skip_note, *notes]
     else:
         result.status = "pass" if result.fail_count == 0 else "fail"
-        result.notes = notes or []
+        result.notes = notes
     return result
 
 

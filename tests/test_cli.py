@@ -226,7 +226,48 @@ class TestVerify:
                                       "--q", "2", "--r", "0.001", "--out", str(out)])
         assert result.exit_code == 0
         claim = json.loads(out.read_text())["claims"][0]
-        assert (claim["status"], claim["notes"]) == ("skipped", [CLAIMS["derivatives"].skip_note])
+        assert (claim["status"], claim["notes"]) == ("skipped", [
+            CLAIMS["derivatives"].skip_note,
+            "finite-difference probe skipped 1 sample(s) where its truncation error "
+            "(h/d)**2, d = min(r, 1 - r), may pass tol, first at p=2, q=2, r=0.001"])
+
+    def test_derivatives_claim_probes_the_same_samples_under_a_tighter_tol(self, runner,
+                                                                           tmp_path):
+        # The probe's skip rule reads the registered 1e-7, so --tol only tightens the test.
+        out = tmp_path / "report.json"
+        claims = {}
+        for tol in (None, "1e-9", "1e-30"):
+            args = ["verify", "--claims", "derivatives", "--p", "2", "--q", "2",
+                    "--out", str(out)] + (["--tol", tol] if tol else [])
+            runner.invoke(main, args)
+            claims[tol] = json.loads(out.read_text())["claims"][0]
+        counts = {tol: c["pass_count"] + c["fail_count"] for tol, c in claims.items()}
+        assert counts == {None: 38, "1e-9": 38, "1e-30": 38}
+        assert (claims[None]["status"], claims["1e-30"]["status"]) == ("pass", "fail")
+
+    def test_claim_with_no_evaluated_sample_keeps_its_own_notes(self, runner, tmp_path):
+        # r**p = 1.6e-8: delta.routes skips the only sample and says which and why.
+        out = tmp_path / "report.json"
+        result = runner.invoke(main, ["verify", "--claims", "delta.routes", "--p", "6",
+                                      "--q", "2", "--r", "0.05", "--out", str(out)])
+        assert result.exit_code == 0
+        claim = json.loads(out.read_text())["claims"][0]
+        assert (claim["status"], claim["notes"]) == ("skipped", [
+            CLAIMS["delta.routes"].skip_note,
+            "direct route skipped 1 sample(s) with r**p or 1 - r**p < 1e-06, where its "
+            "subtraction loses digits, first at p=6, q=2, r=0.05"])
+
+    def test_euler_claim_notes_samples_the_oracle_refuses(self, runner, tmp_path):
+        # At p = 1.5, r = 0.9995 has 1 - r**p = 7.5e-4, below the oracle's 1e-3.
+        out = tmp_path / "report.json"
+        result = runner.invoke(main, ["verify", "--claims", "euler.coherence", "--p", "1.5",
+                                      "--q", "2", "--grid", "r:0.5:0.9995:3", "--out", str(out)])
+        assert result.exit_code == 0
+        claim = json.loads(out.read_text())["claims"][0]
+        assert (claim["status"], claim["pass_count"]) == ("pass", 4)
+        assert claim["notes"] == ["Euler quadrature skipped 2 sample(s) it refuses "
+                                  "(1 - r**p < 0.001, or no convergence), first at p=1.5, "
+                                  "q=2, r=0.9995, quantity=K"]
 
     def test_lemma23_notes_samples_where_the_argument_rounds_to_one(self, runner, tmp_path):
         # At p = 40, r = 0.3 the proof instantiation's z = 1 - r**p rounds to 1.

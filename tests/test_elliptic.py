@@ -1,6 +1,7 @@
 """First/second-kind integrals, oracles, and the family bridges."""
 
 import math
+import random
 import subprocess
 import sys
 
@@ -224,13 +225,51 @@ class TestEulerOracle:
         with pytest.raises(DomainError):
             euler_integral_oracle(HypArgs(0.5, 2.0, 1.5, 0.3))  # c <= b
 
+    def test_against_mpmath_over_the_documented_domain(self):
+        # Seeded sweep: half the samples with z up to 0.9, half with 1 - z log-uniform
+        # down to the documented limit, and z = 1 wherever c - a - b > 0.
+        rng = random.Random(20)
+        limit = elliptic.EULER_ORACLE_MIN_W
+        samples = []
+        for i in range(120):
+            a, b, gap = rng.uniform(-3.0, 3.0), rng.uniform(0.05, 3.0), rng.uniform(0.05, 3.0)
+            z = (rng.uniform(0.0, 0.9) if i % 2
+                 else 1.0 - 10.0 ** rng.uniform(math.log10(limit), -1.0))
+            samples.append((a, b, b + gap, z))
+            if gap - a > 0.05:  # c - a - b
+                samples.append((a, b, b + gap, 1.0))
+        samples.append((0.5, 0.5, 1.0, 1.0 - limit))
+        with mpmath.workdps(30):
+            for a, b, c, z in samples:
+                res = euler_integral_oracle(HypArgs(a, b, c, z))
+                exact = mpmath.hyp2f1(a, b, c, z)
+                err = float(abs(res.value - exact))
+                assert err <= 1e-13 * float(abs(exact)), (a, b, c, z)
+                assert err <= res.err_estimate, (a, b, c, z)
+
+    def test_refuses_just_past_the_documented_limit(self):
+        w = 0.9 * elliptic.EULER_ORACLE_MIN_W
+        for args in (HypArgs(0.5, 0.5, 1.0, 1.0 - w), HypArgs(0.5, 0.5, 2.0, 1.0, w=1e-17)):
+            with pytest.raises(DomainError, match="requires 1 - z >="):
+                euler_integral_oracle(args)
+
+    def test_refuses_what_its_top_level_does_not_resolve(self):
+        with pytest.raises(DomainError, match="did not converge"):
+            euler_integral_oracle(HypArgs(0.5, 100.5, 200.0, 0.99))
+
     def test_package_import_leaves_scipy_unloaded(self):
-        # Only this oracle needs scipy, so it imports it on first call.
-        code = ("import sys, pqelliptic; "
-                "print(sorted({'scipy', 'numpy'} & set(sys.modules)))")
+        # Neither the package nor its Euler-integral oracle needs scipy or numpy.
+        code = ("import sys\n"
+                "from pqelliptic.cli import main\n"
+                "try:\n"
+                "    main(['verify', '--claims', 'euler.coherence', '--p', '2', '--q', '3'])\n"
+                "finally:\n"
+                "    print(sorted({'scipy', 'numpy'} & set(sys.modules)))\n")
         proc = subprocess.run([sys.executable, "-c", code],
-                              capture_output=True, text=True, check=True)
-        assert proc.stdout.strip() == "[]"
+                              capture_output=True, text=True, check=False)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("PASS    euler.coherence")
+        assert proc.stdout.splitlines()[-1] == "[]"
 
 
 class TestThetaIntegral:

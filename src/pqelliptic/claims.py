@@ -381,8 +381,9 @@ def _claim_derivatives(grid: ScanGrid, tol: float, result: ClaimResult) -> list[
         "finite differences; the transposed sign pattern (difference of F1, sum of F2) "
         f"deviates from the same probe by up to {_fmt(variant_worst)} relative",
     ] if result.pass_count + result.fail_count else []
-    return notes + _skip_notes("finite-difference probe", skipped, "where its truncation "
-                               "error (h/d)**2, d = min(r, 1 - r), may pass tol")
+    return notes + _skip_notes("finite-difference probe", skipped, "where its truncation error "
+                               f"(h/d)**2, d = min(r, 1 - r), may pass the registered tolerance "
+                               f"{probe_tol:g}")
 
 
 # --------------------------------------------------------------------------

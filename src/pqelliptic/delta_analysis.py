@@ -23,7 +23,9 @@ from .special import (
     DomainError,
     EvalResult,
     HypArgs,
+    _joined_route,
     gauss_2f1,
+    gauss_2f1_with_derivative,
 )
 
 
@@ -201,19 +203,23 @@ def delta_prime(params: PQParams, r: float) -> float:
 def _curvature(params: PQParams, r: float, sign: float) -> EvalResult:
     """eta * ((p-1) r**(p-2) [F1(x) + sign F1(y)] + p r**(2p-2) (a1 b1/c1)
     [F2(x) - sign F2(y)]) with x = r**p, y = 1 - x: the curvature at sign = 1,
-    its transposed sign pattern at sign = -1."""
+    its transposed sign pattern at sign = -1. F2 = (c1/(a1 b1)) F1' comes
+    from the pass that gives F1; the estimate sums the four terms' errors."""
     if not 0.0 < r < 1.0:
         raise DomainError(f"curvature requires r in (0, 1), got r={r}")
     a1, b1, c1 = _derivative_front(params)
     x, y = _power_pair(params.p, r)
-    f1x = gauss_2f1(HypArgs(a1, b1, c1, x, y))
-    f1y = gauss_2f1(HypArgs(a1, b1, c1, y, x))
-    f2x = gauss_2f1(HypArgs(a1 + 1.0, b1 + 1.0, c1 + 1.0, x, y))
-    f2y = gauss_2f1(HypArgs(a1 + 1.0, b1 + 1.0, c1 + 1.0, y, x))
-    p = params.p
-    return DeltaConstants.for_params(params).eta * (
-        (p - 1.0) * r ** (p - 2.0) * (f1x + sign * f1y)
-        + p * r ** (2.0 * p - 2.0) * (a1 * b1 / c1) * (f2x - sign * f2y))
+    f1x, d1x = gauss_2f1_with_derivative(HypArgs(a1, b1, c1, x, y))
+    f1y, d1y = gauss_2f1_with_derivative(HypArgs(a1, b1, c1, y, x))
+    p, to_f2 = params.p, c1 / (a1 * b1)
+    front = (p - 1.0) * r ** (p - 2.0)
+    back = p * r ** (2.0 * p - 2.0) * (a1 * b1 / c1)
+    eta = DeltaConstants.for_params(params).eta
+    value = eta * (front * (f1x.value + sign * f1y.value)
+                   + back * (to_f2 * d1x.value - sign * (to_f2 * d1y.value)))
+    err = eta * (front * (f1x.err_estimate + f1y.err_estimate)
+                 + back * (to_f2 * d1x.err_estimate + to_f2 * d1y.err_estimate))
+    return EvalResult(value, err, _joined_route(f1x, f1y, d1x, d1y))
 
 
 def delta_second_result(params: PQParams, r: float) -> EvalResult:

@@ -134,10 +134,12 @@ class EvalResult:
         return EvalResult(scale * self.value, abs(scale) * self.err_estimate, self.method)
 
 
-def _joined_route(a: EvalResult, b: EvalResult) -> str:
-    if a.method == b.method:
+def _joined_route(a: EvalResult, b: EvalResult, *rest: EvalResult) -> str:
+    """The distinct routes of the results, sorted and +-joined."""
+    if a.method == b.method and not rest:
         return a.method
-    return "+".join(sorted({*a.method.split("+"), *b.method.split("+")}))
+    return "+".join(sorted({route for result in (a, b, *rest)
+                            for route in result.method.split("+")}))
 
 
 def ln_gamma(x: float) -> float:
@@ -298,6 +300,54 @@ def _series_2f1(a: float, b: float, c: float, z: float) -> tuple[float, float]:
             magnitude = magnitude * z + abs(coef)
         err += 5.0 * (n + 1) * _EPS * magnitude
     return total, err
+
+
+def _series_with_derivative(a: float, b: float, c: float,
+                            z: float) -> tuple[tuple[float, float], tuple[float, float]]:
+    """F and F' = sum over k <= n of t'_k = (k + 1) c_(k+1) z^k in one Horner
+    pass over the family's cached coefficients c_0 to c_(n+1).
+
+    n starts from _series_terms of the shifted family (a + 1, b + 1; c + 1),
+    whose terms are t'_k / (ab/c), and grows by an eighth until F' meets
+    _series_2f1's stopping rule or a zero term ends the series; it depends
+    on (a, b, c, z) alone. Returns ((F, err_estimate), (F', err_estimate)).
+    F''s tail is bounded as _series_2f1 bounds its own, and F's by z / (n + 2)
+    of it, as t_(k+1) = t'_k z / (k + 1). Each adds the Horner rounding bound
+    5 (n + 2) eps sum |c_k| z^k, for F' sum k |c_k| z^(k-1) (Higham, 5.1),
+    sums which are F and F' themselves when a, b, c > 0 make every
+    coefficient positive. Raises DomainError as _series_2f1 does.
+    """
+    n = _series_terms(a + 1.0, b + 1.0, c + 1.0, z)
+    while True:
+        table = _COEFFICIENTS.get(a, b, c, n + 2)
+        value = slope = 0.0
+        for coef in table[n + 1::-1]:
+            slope = slope * z + value
+            value = value * z + coef
+        power = z ** (n - 1)
+        before = n * table[n] * power
+        last = (n + 1) * table[n + 1] * power * z
+        if abs(last) <= _SERIES_TOL * abs(slope) and abs(last) <= abs(before):
+            break
+        if n >= MAX_TERMS:
+            raise DomainError(f"2F1 series did not converge in {MAX_TERMS} terms "
+                              f"for a={a}, b={b}, c={c}, z={z}")
+        n = min(MAX_TERMS, n + n // 8 + 1)
+    tail = 0.0
+    if last != 0.0:
+        nxt = (n + 2) * table[n + 2] * power * z * z
+        ratio = abs(nxt / last)
+        tail = abs(nxt) / (1.0 - ratio) if ratio < 1.0 else math.inf
+    if a > 0.0 and b > 0.0 and c > 0.0:
+        magnitude, slope_magnitude = value, slope
+    else:
+        magnitude = slope_magnitude = 0.0
+        for coef in table[n + 1::-1]:
+            slope_magnitude = slope_magnitude * z + magnitude
+            magnitude = magnitude * z + abs(coef)
+    rounding = 5.0 * (n + 2) * _EPS
+    return ((value, z / (n + 2) * tail + rounding * magnitude),
+            (slope, tail + rounding * slope_magnitude))
 
 
 def _euler_2f1(a: float, b: float, c: float, w: float) -> EvalResult | None:
@@ -519,12 +569,28 @@ def gauss_value_at_one(a: float, b: float, c: float) -> float:
     return value
 
 
+def gauss_2f1_with_derivative(args: HypArgs) -> tuple[EvalResult, EvalResult]:
+    """2F1 and its z-derivative F' = (ab/c) 2F1(a+1, b+1; c+1; z), each with
+    an error estimate.
+
+    Up to z = 0.9 one Horner pass over the family's coefficients gives both,
+    and each estimate adds a rounding bound to the tail bound. Above that, F
+    is gauss_2f1 of args and F' (ab/c) times gauss_2f1 of the shifted family
+    at the same z and w, which raises as gauss_2f1 does.
+    """
+    a, b, c, z = args.a, args.b, args.c, args.z
+    if z <= SERIES_SWITCH:
+        value, slope = _series_with_derivative(a, b, c, z)
+        return EvalResult(*value, METHOD_SERIES), EvalResult(*slope, METHOD_SERIES)
+    shifted = HypArgs(a + 1.0, b + 1.0, c + 1.0, z, args.w)
+    return gauss_2f1(args), a * b / c * gauss_2f1(shifted)
+
+
 def f21_derivative(args: HypArgs) -> float:
-    """d/dz of 2F1 at z < 1: (ab/c) * 2F1(a+1, b+1; c+1; z)."""
+    """d/dz of 2F1 at z < 1: the derivative of gauss_2f1_with_derivative."""
     if args.z >= 1.0:
         raise DomainError(f"derivative requires z < 1, got z={args.z}")
-    shifted = HypArgs(args.a + 1.0, args.b + 1.0, args.c + 1.0, args.z, args.w)
-    return args.a * args.b / args.c * gauss_2f1(shifted).value
+    return gauss_2f1_with_derivative(args)[1].value
 
 
 def contiguous_residual(sigma: float, alpha: float, rho: float, z: float) -> float:

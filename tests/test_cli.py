@@ -211,7 +211,7 @@ class TestVerify:
         assert (claim["status"], claim["pass_count"], claim["notes"]) == ("pass", 3, [])
 
     def test_derivatives_claim_skips_r_too_near_the_ends_for_its_probe(self, runner, tmp_path):
-        # At r = 0.001 the slope probe's truncation error (1e-5/0.001)**2 = 1e-4 passes tol.
+        # At r = 0.001 the slope probe's truncation error (1e-5/0.001)**2 = 1e-4 passes 1e-7.
         out = tmp_path / "report.json"
         result = runner.invoke(main, ["verify", "--claims", "derivatives",
                                       "--grid", "r:0.001:0.999:9", "--out", str(out)])
@@ -220,7 +220,8 @@ class TestVerify:
         assert claim["status"] == "pass" and claim["fail_count"] == 0
         assert claim["notes"][1] == (
             "finite-difference probe skipped 50 sample(s) where its truncation error "
-            "(h/d)**2, d = min(r, 1 - r), may pass tol, first at p=1.75, q=2.25, r=0.001")
+            "(h/d)**2, d = min(r, 1 - r), may pass the registered tolerance 1e-07, "
+            "first at p=1.75, q=2.25, r=0.001")
 
         result = runner.invoke(main, ["verify", "--claims", "derivatives", "--p", "2",
                                       "--q", "2", "--r", "0.001", "--out", str(out)])
@@ -229,7 +230,8 @@ class TestVerify:
         assert (claim["status"], claim["notes"]) == ("skipped", [
             CLAIMS["derivatives"].skip_note,
             "finite-difference probe skipped 1 sample(s) where its truncation error "
-            "(h/d)**2, d = min(r, 1 - r), may pass tol, first at p=2, q=2, r=0.001"])
+            "(h/d)**2, d = min(r, 1 - r), may pass the registered tolerance 1e-07, "
+            "first at p=2, q=2, r=0.001"])
 
     def test_derivatives_claim_probes_the_same_samples_under_a_tighter_tol(self, runner,
                                                                            tmp_path):
@@ -244,6 +246,19 @@ class TestVerify:
         counts = {tol: c["pass_count"] + c["fail_count"] for tol, c in claims.items()}
         assert counts == {None: 38, "1e-9": 38, "1e-30": 38}
         assert (claims[None]["status"], claims["1e-30"]["status"]) == ("pass", "fail")
+
+    def test_derivatives_skip_note_names_the_registered_tolerance(self, runner, tmp_path):
+        # The skips are decided by the registered 1e-7, not by --tol 1e-9.
+        out = tmp_path / "report.json"
+        result = runner.invoke(main, ["verify", "--claims", "derivatives", "--grid",
+                                      "r:0.001:0.999:9", "--tol", "1e-9", "--out", str(out)])
+        assert result.exit_code == 0
+        claim = json.loads(out.read_text())["claims"][0]
+        assert claim["status"] == "pass" and claim["fail_count"] == 0
+        assert claim["notes"][1] == (
+            "finite-difference probe skipped 50 sample(s) where its truncation error "
+            "(h/d)**2, d = min(r, 1 - r), may pass the registered tolerance 1e-07, "
+            "first at p=1.75, q=2.25, r=0.001")
 
     def test_claim_with_no_evaluated_sample_keeps_its_own_notes(self, runner, tmp_path):
         # r**p = 1.6e-8: delta.routes skips the only sample and says which and why.

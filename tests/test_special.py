@@ -25,6 +25,7 @@ from pqelliptic import (
     euler_integral_oracle,
     f21_derivative,
     gauss_2f1,
+    gauss_2f1_with_derivative,
     gauss_value_at_one,
     inc_beta,
     legendre_K_agm,
@@ -397,6 +398,12 @@ def _bits(samples):
     return [(res.value, res.err_estimate, res.method) for res in map(gauss_2f1, samples)]
 
 
+def _joint_bits(samples):
+    """_bits of gauss_2f1_with_derivative: F and F' at each sample."""
+    return [tuple((res.value, res.err_estimate, res.method) for res in pair)
+            for pair in map(gauss_2f1_with_derivative, samples)]
+
+
 def _library_walk(seed):
     """The library families of 4 seeded (p, q) pairs, walked up z = 0.2 ... 0.9
     pair by pair."""
@@ -436,18 +443,22 @@ class TestCoefficientTables:
 
     def test_same_bits_cold_warm_evicted_and_reversed(self, fresh_tables):
         samples = _series_samples(20261018, 12, 6)
+
+        def bits(order):  # F alone, then F and F' from the joint pass, which asks for more
+            return list(zip(_bits(order), _joint_bits(order)))
+
         fresh_tables()
-        cold = _bits(samples)  # each family's table first built, then extended
-        warm = _bits(samples)
+        cold = bits(samples)  # each family's table first built, then extended
+        warm = bits(samples)
         fresh_tables()
-        backwards = _bits(samples[::-1])[::-1]
+        backwards = bits(samples[::-1])[::-1]
         # Tables for z near 0.9 exceed this budget and are never kept; the
         # shorter ones evict each other.
         tables = fresh_tables(budget=150)
-        evicted = _bits(samples)
+        evicted = bits(samples)
         assert 0 < tables.stored <= 150
         assert cold == warm == backwards == evicted
-        assert {method for _, _, method in cold} == {"series"}
+        assert {res[2] for alone, joint in cold for res in (alone, *joint)} == {"series"}
 
     def test_term_cap_refuses_with_a_warm_table(self, monkeypatch):
         samples = _series_samples(7, 1, 1)
@@ -455,8 +466,9 @@ class TestCoefficientTables:
         _bits([dataclasses.replace(args, z=0.9) for args in samples])  # warm, past 5 terms
         monkeypatch.setattr(special, "MAX_TERMS", 5)
         for args in families:
-            with pytest.raises(DomainError, match="did not converge"):
-                gauss_2f1(args)
+            for evaluate in (gauss_2f1, gauss_2f1_with_derivative):
+                with pytest.raises(DomainError, match="did not converge"):
+                    evaluate(args)
 
     def test_series_route_against_mpmath(self):
         with mpmath.workdps(30):
@@ -680,6 +692,37 @@ class TestDerivative:
     def test_rejects_z_one(self):
         with pytest.raises(DomainError):
             f21_derivative(HypArgs(0.5, 0.5, 3.0, 1.0))
+
+    def test_with_derivative_against_mpmath(self):
+        # The five library families and generic ones with a negative a or b,
+        # at z = 0, a seeded interior z and the switch: the joint series pass.
+        rng = random.Random(20261020)
+        families = []
+        for _ in range(6):
+            p, q = rng.uniform(1.1, 6.0), rng.uniform(1.1, 6.0)
+            families += _library_families(p, q, 0.0, None).values()
+        for _ in range(30):
+            a, b = rng.uniform(-3.0, -0.05), rng.uniform(0.05, 3.0)
+            families.append(HypArgs(*((a, b) if rng.random() < 0.5 else (b, a)),
+                                    rng.uniform(0.3, 4.0), 0.0))
+        with mpmath.workdps(30):
+            for family in families:
+                a, b, c = family.a, family.b, family.c
+                for z in (0.0, rng.uniform(0.0, 0.9), special.SERIES_SWITCH):
+                    value, slope = gauss_2f1_with_derivative(HypArgs(a, b, c, z))
+                    exact = (mpmath.hyp2f1(a, b, c, z),
+                             a * b / c * mpmath.hyp2f1(a + 1, b + 1, c + 1, z))
+                    for res, ref in zip((value, slope), exact):
+                        assert res.method == "series"
+                        err = float(abs(mpmath.mpf(res.value) - ref))
+                        assert err <= 1e-14 * max(1.0, abs(float(ref))), (family, z)
+                        assert err <= res.err_estimate, (family, z)
+
+    def test_with_derivative_above_the_switch_is_the_shifted_family(self):
+        for args in _connection_samples(3, 2, 2):
+            shifted = HypArgs(args.a + 1.0, args.b + 1.0, args.c + 1.0, args.z, args.w)
+            assert gauss_2f1_with_derivative(args) == (
+                gauss_2f1(args), args.a * args.b / args.c * gauss_2f1(shifted))
 
 
 class TestContiguousResidual:

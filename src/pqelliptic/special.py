@@ -56,7 +56,8 @@ _EPS = 2.0 ** -52
 _EULER_GAMMA = 0.5772156649015329
 _LOG_MAX = math.log(sys.float_info.max)  # the largest argument exp keeps finite
 #: Relative error estimate up to which a connection-formula result is kept
-#: without trying the quadrature route.
+#: without trying the quadrature route, and a joint F, F' pass without
+#: falling back to two gauss_2f1 calls.
 _CONNECTION_TRUST = 1e-13
 
 
@@ -413,9 +414,9 @@ def _log_constants(a: float, b: float, m: int) -> tuple[tuple[float, ...], float
     finite = Gamma(m) Gamma(c) / (Gamma(a+m) Gamma(b+m)) (0 at m = 0),
     lead = -(-1)^m Gamma(c) / (Gamma(a) Gamma(b) m!) and each ratio's size as
     _gamma_ratio gives it. Kept for the last 256 families: a certify pass
-    (`verify --grid p:1.5:4:6,q:1.5:4:6`) meets 249. A warm default `verify`
-    rebuilds about 840 of its 11,430; keeping all its 758 families would
-    cost a caller that never repeats one four times the memory.
+    (`verify --grid p:1.5:4:6,q:1.5:4:6`) meets 243. A warm default `verify`
+    rebuilds about 816 of its 10,929; keeping all its 734 families would
+    cost a caller that never repeats one three times the memory.
     """
     c, am, bm = a + b + m, a + m, b + m
     f, harmonic = [1.0], 0.0  # harmonic: psi(m + 1) - psi(1)
@@ -497,11 +498,89 @@ def _connection_2f1(a: float, b: float, m: int, w: float) -> tuple[float, float]
     return total, abs(lead) * tail + rounding
 
 
+def _connection_with_derivative(a: float, b: float, m: int,
+                                w: float) -> tuple[tuple[float, float], tuple[float, float]]:
+    """F = 2F1(a, b; a + b + m; 1 - w) and F' = dF/dz, m >= 0, in one pass
+    of _connection_2f1's loop that also sums S1 = sum of k u_k w^k and
+    T1 = sum of k u_k (e1_k + e2_k) w^k. With G = ln w U + V,
+    F' = -(finite P'(w) + lead w^(m-1) (m G + U + ln w S1 + T1)). Term k of
+    F''s bracket is at most |u_k w^k| (1 + (k + m) X_k), X_k the bound F
+    stops on, so its geometric tail ratio is (n + m + 1) / (n + m) times
+    F's. n grows until both meet _connection_2f1's stopping rule. Returns
+    ((F, err_estimate), (F', err_estimate)), each with its own tail and
+    rounding bound; needs what _connection_2f1 needs.
+    """
+    f, finite, finite_size, lead, lead_size, e1, e2 = _log_constants(a, b, m)
+    am, bm = a + m, b + m
+    part = part_slope = 0.0
+    for coef in f[::-1]:
+        part_slope = part_slope * w + part
+        part = part * w + coef
+    finite_slope = finite * part_slope
+    finite *= part
+    lead_slope = lead * w ** (m - 1) if m else lead / w
+    lead *= w ** m
+    log_w = math.log(w)
+    abs_log_w = abs(log_w)
+    n = max(1, _series_terms(am, bm, m + 1.0, w) - m)
+    u = v = s = t = u_abs = e_abs = s_abs = t_abs = 0.0
+    term, k = 1.0, 0.0  # term: u_k w^k
+    while True:
+        while k < n:
+            size, spread = abs(term), abs(e1) + abs(e2)
+            e, k_term = e1 + e2, k * term
+            u += term
+            v += term * e
+            s += k_term
+            t += k_term * e
+            u_abs += size
+            e_abs += size * spread
+            s_abs += k * size
+            t_abs += k * size * spread
+            ak, bk, k1, km1 = am + k, bm + k, k + 1.0, k + m + 1.0
+            e1 += 1.0 / ak - 1.0 / k1
+            e2 += 1.0 / bk - 1.0 / km1
+            term *= ak * bk * w / (k1 * km1)
+            k = k1
+        g = log_w * u + v
+        total = finite + lead * g
+        slope = finite_slope + lead_slope * (m * g + u + log_w * s + t)
+        bound = abs_log_w + abs(e1) + abs(e2)
+        size = abs(term) * bound
+        size_slope = abs(term) * (1.0 + (n + m) * bound)
+        if (abs(lead) * size <= _SERIES_TOL * abs(total)
+                and abs(lead_slope) * size_slope <= _SERIES_TOL * abs(slope)
+                and am + n > 0.0 and bm + n > 0.0):
+            ratio = w * max(1.0, (am + n) / (n + 1.0)) * max(1.0, (bm + n) / (n + m + 1.0))
+            ratio_slope = ratio * (n + m + 1.0) / (n + m)
+            if ratio_slope < 1.0:
+                tail, tail_slope = size / (1.0 - ratio), size_slope / (1.0 - ratio_slope)
+                break
+        if n >= MAX_TERMS:
+            tail = tail_slope = math.inf
+            break
+        n = min(MAX_TERMS, n + n // 8 + 1)
+    lead_rounding = _EPS * (2.0 * n + 24.0 + lead_size)
+    finite_rounding = _EPS * (2.0 * m + 24.0 + finite_size)
+    err = (abs(lead) * (tail + lead_rounding * (abs_log_w * u_abs + e_abs))
+           + finite_rounding * abs(finite))
+    slope_magnitude = m * (abs_log_w * u_abs + e_abs) + u_abs + abs_log_w * s_abs + t_abs
+    err_slope = (abs(lead_slope) * (tail_slope + lead_rounding * slope_magnitude)
+                 + finite_rounding * abs(finite_slope))
+    return (total, err), (-slope, err_slope)
+
+
 def _polynomial_case(a: float, b: float, m: int) -> bool:
     """Whether a or b, or a + m or b + m, is a non-positive integer: the
     series or its Euler transform terminates, and gamma has poles there."""
     return ((a == math.floor(a) and min(a, a + m) <= 0.0)
             or (b == math.floor(b) and min(b, b + m) <= 0.0))
+
+
+def _series_is_shorter(a: float, b: float, c: float, z: float, m: int) -> bool:
+    """Whether so large a gap m makes the direct series' terms fall off
+    within fewer terms than the connection route's finite sum has."""
+    return m > 1 and max(_series_terms(a, b, c, z), _series_terms(a, b, c, 1.0)) < m
 
 
 def gauss_2f1(args: HypArgs) -> EvalResult:
@@ -527,9 +606,7 @@ def gauss_2f1(args: HypArgs) -> EvalResult:
         return EvalResult(value, 8e-16 * abs(value), METHOD_GAUSS_CLOSED_FORM)
     m = _integer_gap(a, b, c)
     result = None
-    if m is not None and m > 1 and max(_series_terms(a, b, c, z), _series_terms(a, b, c, 1.0)) < m:
-        # So large a gap makes the direct series' terms fall off within fewer
-        # terms than the connection route's finite sum has.
+    if m is not None and _series_is_shorter(a, b, c, z, m):
         result = EvalResult(*_series_2f1(a, b, c, z), METHOD_SERIES)
     elif m is not None and not _polynomial_case(a, b, m):
         result = EvalResult(*_connection_2f1(a, b, m, w), METHOD_CONNECTION)
@@ -574,23 +651,49 @@ def gauss_2f1_with_derivative(args: HypArgs) -> tuple[EvalResult, EvalResult]:
     an error estimate.
 
     Up to z = 0.9 one Horner pass over the family's coefficients gives both,
-    and each estimate adds a rounding bound to the tail bound. Above that, F
+    and each estimate adds a rounding bound to the tail bound. Above that,
+    where gauss_2f1 takes the connection route with a gap m >= 0, one pass
+    of the log-case series gives both (_connection_with_derivative), unless
+    either estimate exceeds 1e-13 relative or a value is not finite. Else F
     is gauss_2f1 of args and F' (ab/c) times gauss_2f1 of the shifted family
-    at the same z and w, which raises as gauss_2f1 does.
+    at the same z and w, which raise as gauss_2f1 does.
     """
+    pair = _joint_pass(args)
+    return (gauss_2f1(args), _shifted_slope(args)) if pair is None else pair
+
+
+def _joint_pass(args: HypArgs) -> tuple[EvalResult, EvalResult] | None:
+    """F and F' from one pass, the series' or the connection route's; None
+    where gauss_2f1_with_derivative falls back to two gauss_2f1 calls."""
     a, b, c, z = args.a, args.b, args.c, args.z
     if z <= SERIES_SWITCH:
         value, slope = _series_with_derivative(a, b, c, z)
         return EvalResult(*value, METHOD_SERIES), EvalResult(*slope, METHOD_SERIES)
-    shifted = HypArgs(a + 1.0, b + 1.0, c + 1.0, z, args.w)
-    return gauss_2f1(args), a * b / c * gauss_2f1(shifted)
+    w = 1.0 - z if args.w is None else args.w
+    m = _integer_gap(a, b, c)
+    if (w == 0.0 or m is None or m < 0 or _series_is_shorter(a, b, c, z, m)
+            or _polynomial_case(a, b, m)):
+        return None
+    pair = _connection_with_derivative(a, b, m, w)
+    for value, err in pair:
+        if not (math.isfinite(value) and err <= _CONNECTION_TRUST * abs(value)):
+            return None
+    return tuple(EvalResult(*result, METHOD_CONNECTION) for result in pair)
+
+
+def _shifted_slope(args: HypArgs) -> EvalResult:
+    """F' as (ab/c) gauss_2f1 of the shifted family (a+1, b+1; c+1) at the same z and w."""
+    shifted = HypArgs(args.a + 1.0, args.b + 1.0, args.c + 1.0, args.z, args.w)
+    return args.a * args.b / args.c * gauss_2f1(shifted)
 
 
 def f21_derivative(args: HypArgs) -> float:
-    """d/dz of 2F1 at z < 1: the derivative of gauss_2f1_with_derivative."""
+    """d/dz of 2F1 at z < 1: the derivative of gauss_2f1_with_derivative,
+    from one evaluation (the joint pass, else the shifted family alone)."""
     if args.z >= 1.0:
         raise DomainError(f"derivative requires z < 1, got z={args.z}")
-    return gauss_2f1_with_derivative(args)[1].value
+    pair = _joint_pass(args)
+    return (_shifted_slope(args) if pair is None else pair[1]).value
 
 
 def contiguous_residual(sigma: float, alpha: float, rho: float, z: float) -> float:

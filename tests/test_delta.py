@@ -310,27 +310,22 @@ class TestDerivatives:
     @staticmethod
     def _curvature_inputs(rng):
         """A seeded (params, r) with r near 0, inside, or near 1, the shift
-        a1*b1/c1, x = r**p, and F1, F2 at x and at 1 - x."""
+        a1*b1/c1, x = r**p, and F1, F2 at x and at 1 - x, with
+        F2 = (c1/(a1 b1)) F1' from the one pass that gives F1 and F1'."""
         params = PQParams(rng.uniform(1.1, 6.0), rng.uniform(1.1, 6.0))
         r = rng.choice((rng.uniform(1e-6, 1e-3), rng.uniform(1e-3, 1.0 - 1e-3),
                         1.0 - rng.uniform(1e-6, 1e-3)))
         a1, b1, c1 = 1.0 + params.inv_q, 2.0 - params.inv_p, 3.0 + params.inv_q - params.inv_p
         x, y = gentrig._power_pair(params.p, r)
-        f1x, f1y = (gauss_2f1(HypArgs(a1, b1, c1, z, w)) for z, w in ((x, y), (y, x)))
-        f2x, f2y = (gauss_2f1(HypArgs(a1 + 1.0, b1 + 1.0, c1 + 1.0, z, w))
-                    for z, w in ((x, y), (y, x)))
+        (f1x, d1x), (f1y, d1y) = (gauss_2f1_with_derivative(HypArgs(a1, b1, c1, z, w))
+                                  for z, w in ((x, y), (y, x)))
+        f2x, f2y = (c1 / (a1 * b1)) * d1x, (c1 / (a1 * b1)) * d1y
         return params, r, a1 * b1 / c1, x, f1x, f1y, f2x, f2y
 
     def test_curvature_is_the_analytic_composition_bit_for_bit(self):
-        # F1 and F2 = (c1/(a1 b1)) F1' from the one pass that gives F1 and F1'.
         rng = random.Random(18)
         for _ in range(60):
-            params, r, shift = self._curvature_inputs(rng)[:3]
-            a1, b1, c1 = 1.0 + params.inv_q, 2.0 - params.inv_p, 3.0 + params.inv_q - params.inv_p
-            x, y = gentrig._power_pair(params.p, r)
-            (f1x, d1x), (f1y, d1y) = (gauss_2f1_with_derivative(HypArgs(a1, b1, c1, z, w))
-                                      for z, w in ((x, y), (y, x)))
-            f2x, f2y = (c1 / (a1 * b1)) * d1x, (c1 / (a1 * b1)) * d1y
+            params, r, shift, _, f1x, f1y, f2x, f2y = self._curvature_inputs(rng)
             eta, p = DeltaConstants.for_params(params).eta, params.p
             front, back = (p - 1.0) * r ** (p - 2.0), p * r ** (2.0 * p - 2.0) * shift
             result = delta_second_result(params, r)

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+import statistics
 import sys
 import threading
 from array import array
@@ -719,10 +720,66 @@ class TestDerivative:
                         assert err <= res.err_estimate, (family, z)
 
     def test_with_derivative_above_the_switch_is_the_shifted_family(self):
-        for args in _connection_samples(3, 2, 2):
-            shifted = HypArgs(args.a + 1.0, args.b + 1.0, args.c + 1.0, args.z, args.w)
-            assert gauss_2f1_with_derivative(args) == (
-                gauss_2f1(args), args.a * args.b / args.c * gauss_2f1(shifted))
+        # A gap m >= 0 takes the joint connection pass; F2's gap -1 and a
+        # non-integer gap fall back to gauss_2f1 and its shifted family.
+        # f21_derivative gives the same F' from one evaluation either way.
+        samples = _connection_samples(3, 2, 2)
+        samples += [HypArgs(0.5, 0.3, 1.7, args.z, args.w) for args in samples[::5]]
+        for args in samples:
+            m = special._integer_gap(args.a, args.b, args.c)
+            pair = gauss_2f1_with_derivative(args)
+            assert f21_derivative(args) == pair[1].value
+            if m is None or m < 0:
+                shifted = HypArgs(args.a + 1.0, args.b + 1.0, args.c + 1.0, args.z, args.w)
+                assert pair == (gauss_2f1(args), args.a * args.b / args.c * gauss_2f1(shifted))
+                continue
+            for res, ref in zip(pair, _exact_with_derivative(args, m)):
+                assert res.method == "connection"
+                err = float(abs(mpmath.mpf(res.value) - ref))
+                assert err <= 1e-14 * abs(float(ref)), args
+                assert err <= res.err_estimate, args
+
+    def test_derivative_above_the_switch_costs_one_evaluation(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(special, "gauss_2f1",
+                            lambda args, real=special.gauss_2f1: calls.append(args) or real(args))
+        f21_derivative(HypArgs(0.5, 0.3, 1.7, 0.95))  # non-integer gap: the shifted family
+        assert [args.c for args in calls] == [2.7]
+        calls.clear()
+        f21_derivative(HypArgs(0.5, 0.3, 0.8, 0.95))  # gap 0: the joint connection pass
+        assert calls == []
+
+    def test_connection_pass_calibration(self):
+        # The curvature's family (1 + 1/q, 2 - 1/p; 3 + 1/q - 1/p), always on
+        # the joint connection pass, and generic a, b > 0 with m = 0, 1, 2,
+        # which may fall back; w log-uniform on [1e-12, 0.1].
+        rng = random.Random(20261020)
+        ratios = []
+        for i in range(200):
+            w = 10.0 ** rng.uniform(-12.0, -1.0)
+            if i % 2 == 0:
+                p, q = rng.uniform(1.1, 6.0), rng.uniform(1.1, 6.0)
+                args, m = HypArgs(1.0 + 1.0 / q, 2.0 - 1.0 / p, 3.0 + 1.0 / q - 1.0 / p,
+                                  1.0 - w, w), 0
+            else:
+                a, b, m = rng.uniform(0.05, 3.0), rng.uniform(0.05, 3.0), rng.choice((0, 1, 2))
+                args = HypArgs(a, b, a + b + m, 1.0 - w, w)
+            pair = gauss_2f1_with_derivative(args)
+            for res, ref in zip(pair, _exact_with_derivative(args, m)):
+                assert res.method == "connection" or i % 2, args
+                err = float(abs(mpmath.mpf(res.value) - ref))
+                assert err <= 1e-13 * abs(float(ref)), args
+                assert err <= res.err_estimate, args
+                ratios.append(res.err_estimate / err if err else math.inf)
+        assert statistics.median(ratios) <= 100.0
+
+
+def _exact_with_derivative(args, m):
+    """30-digit F and F' of (a, b; a + b + m) at z = 1 - w, the gap taken exact."""
+    with mpmath.workdps(30):
+        a, b = mpmath.mpf(args.a), mpmath.mpf(args.b)
+        c, z = a + b + m, 1 - mpmath.mpf(args.w)
+        return mpmath.hyp2f1(a, b, c, z), a * b / c * mpmath.hyp2f1(a + 1, b + 1, c + 1, z)
 
 
 class TestContiguousResidual:

@@ -352,7 +352,8 @@ def _series_with_derivative(a: float, b: float, c: float,
 
 
 def _euler_2f1(a: float, b: float, c: float, w: float) -> EvalResult | None:
-    """Euler-integral route at z = 1 - w, valid when c > b > 0 (or c > a > 0 after swap)."""
+    """Euler-integral route at z = 1 - w, valid when c > b > 0 (or c > a > 0 after
+    swap); None without such an ordering or when the integrand overflows."""
     if not (c > b > 0.0):
         if c > a > 0.0:
             a, b = b, a
@@ -364,7 +365,10 @@ def _euler_2f1(a: float, b: float, c: float, w: float) -> EvalResult | None:
         # 1 - z*t rewritten as tm + w*t: stable inside the t -> 1 layer.
         return t ** (b - 1.0) * tm ** (c - b - 1.0) * (tm + w * t) ** (-a)
 
-    value, err = tanh_sinh_01(integrand, rel_tol=5e-14, max_level=10)
+    try:
+        value, err = tanh_sinh_01(integrand, rel_tol=5e-14, max_level=10)
+    except OverflowError:  # (tm + w t)**(-a) past the double range: no quadrature either
+        return None
     rounding = (4e-16 + _EPS * size) * abs(prefactor * value)
     return EvalResult(prefactor * value, prefactor * err + rounding, METHOD_EULER_QUADRATURE)
 
@@ -570,30 +574,39 @@ def _connection_with_derivative(a: float, b: float, m: int,
     return (total, err), (-slope, err_slope)
 
 
-def _polynomial_case(a: float, b: float, m: int) -> bool:
-    """Whether a or b, or a + m or b + m, is a non-positive integer: the
-    series or its Euler transform terminates, and gamma has poles there."""
-    return ((a == math.floor(a) and min(a, a + m) <= 0.0)
-            or (b == math.floor(b) and min(b, b + m) <= 0.0))
-
-
-def _series_is_shorter(a: float, b: float, c: float, z: float, m: int) -> bool:
-    """Whether so large a gap m makes the direct series' terms fall off
-    within fewer terms than the connection route's finite sum has."""
-    return m > 1 and max(_series_terms(a, b, c, z), _series_terms(a, b, c, 1.0)) < m
+def _route_above_switch(a: float, b: float, c: float, z: float) -> tuple[str, int | None]:
+    """The route above SERIES_SWITCH with w = 1 - z > 0, and the integer gap
+    m it reads (None when c - a - b is not one): the one rule gauss_2f1 and
+    gauss_2f1_with_derivative share. The direct series when so large a gap m
+    makes its terms fall off within fewer terms than the connection route's
+    finite sum has; else the connection formula for an integer gap, unless
+    a or b, or a + m or b + m, is a non-positive integer (the series or its
+    Euler transform terminates, and gamma has poles there); else the
+    Euler-integral quadrature."""
+    m = _integer_gap(a, b, c)
+    if m is None:
+        return METHOD_EULER_QUADRATURE, None
+    if m > 1 and max(_series_terms(a, b, c, z), _series_terms(a, b, c, 1.0)) < m:
+        return METHOD_SERIES, m
+    if ((a == math.floor(a) and min(a, a + m) <= 0.0)
+            or (b == math.floor(b) and min(b, b + m) <= 0.0)):
+        return METHOD_EULER_QUADRATURE, m
+    return METHOD_CONNECTION, m
 
 
 def gauss_2f1(args: HypArgs) -> EvalResult:
     """Gauss hypergeometric function on [0, 1] with an error estimate.
 
-    Series with tail-bound stopping up to z = 0.9. Above that, the 1 - z
-    connection formula in w = 1 - z when c - a - b is within rounding of an
-    integer m (and is then taken as m), unless the series' terms fall below
-    1e-16 within fewer than the m terms of its finite sum; otherwise, or when
-    its estimate exceeds 1e-13 relative and the quadrature's is smaller, the
-    Euler-integral quadrature, or the series when no Euler ordering is valid.
-    A series above 0.9 adds a rounding bound to its estimate. Exactly at
-    z = 1 (w = 0) the gamma-ratio closed form, which requires c - a - b > 0.
+    Series with tail-bound stopping up to z = 0.9. Above that, the route of
+    _route_above_switch: the 1 - z connection formula in w = 1 - z when
+    c - a - b is within rounding of an integer m (and is then taken as m),
+    unless the series' terms fall below 1e-16 within fewer than the m terms
+    of its finite sum; otherwise, or when its estimate exceeds 1e-13
+    relative and the quadrature's is smaller, the Euler-integral quadrature,
+    or the series when no Euler ordering is valid or the quadrature's
+    integrand overflows. A series above 0.9 adds a rounding bound to its
+    estimate. Exactly at z = 1 (w = 0) the gamma-ratio closed form, which
+    requires c - a - b > 0.
     A series past MAX_TERMS terms, or a result without a finite error
     estimate, raises DomainError, a value past the double range DivergenceError.
     """
@@ -604,11 +617,11 @@ def gauss_2f1(args: HypArgs) -> EvalResult:
     if w == 0.0:
         value = gauss_value_at_one(a, b, c)
         return EvalResult(value, 8e-16 * abs(value), METHOD_GAUSS_CLOSED_FORM)
-    m = _integer_gap(a, b, c)
+    route, m = _route_above_switch(a, b, c, z)
     result = None
-    if m is not None and _series_is_shorter(a, b, c, z, m):
+    if route == METHOD_SERIES:
         result = EvalResult(*_series_2f1(a, b, c, z), METHOD_SERIES)
-    elif m is not None and not _polynomial_case(a, b, m):
+    elif route == METHOD_CONNECTION:
         result = EvalResult(*_connection_2f1(a, b, m, w), METHOD_CONNECTION)
     # Large a, b let the log series cancel; the quadrature may then do better.
     if result is None or (math.isfinite(result.value)
@@ -652,48 +665,26 @@ def gauss_2f1_with_derivative(args: HypArgs) -> tuple[EvalResult, EvalResult]:
 
     Up to z = 0.9 one Horner pass over the family's coefficients gives both,
     and each estimate adds a rounding bound to the tail bound. Above that,
-    where gauss_2f1 takes the connection route with a gap m >= 0, one pass
-    of the log-case series gives both (_connection_with_derivative), unless
-    either estimate exceeds 1e-13 relative or a value is not finite. Else F
-    is gauss_2f1 of args and F' (ab/c) times gauss_2f1 of the shifted family
-    at the same z and w, which raise as gauss_2f1 does.
+    where gauss_2f1's route (_route_above_switch) is the connection formula
+    with a gap m >= 0, one pass of the log-case series gives both
+    (_connection_with_derivative), unless either estimate exceeds 1e-13
+    relative or a value is not finite. Else F is gauss_2f1 of args and F'
+    (ab/c) times gauss_2f1 of the shifted family at the same z and w, which
+    raise as gauss_2f1 does.
     """
-    pair = _joint_pass(args)
-    return (gauss_2f1(args), _shifted_slope(args)) if pair is None else pair
-
-
-def _joint_pass(args: HypArgs) -> tuple[EvalResult, EvalResult] | None:
-    """F and F' from one pass, the series' or the connection route's; None
-    where gauss_2f1_with_derivative falls back to two gauss_2f1 calls."""
     a, b, c, z = args.a, args.b, args.c, args.z
     if z <= SERIES_SWITCH:
         value, slope = _series_with_derivative(a, b, c, z)
         return EvalResult(*value, METHOD_SERIES), EvalResult(*slope, METHOD_SERIES)
     w = 1.0 - z if args.w is None else args.w
-    m = _integer_gap(a, b, c)
-    if (w == 0.0 or m is None or m < 0 or _series_is_shorter(a, b, c, z, m)
-            or _polynomial_case(a, b, m)):
-        return None
-    pair = _connection_with_derivative(a, b, m, w)
-    for value, err in pair:
-        if not (math.isfinite(value) and err <= _CONNECTION_TRUST * abs(value)):
-            return None
-    return tuple(EvalResult(*result, METHOD_CONNECTION) for result in pair)
-
-
-def _shifted_slope(args: HypArgs) -> EvalResult:
-    """F' as (ab/c) gauss_2f1 of the shifted family (a+1, b+1; c+1) at the same z and w."""
-    shifted = HypArgs(args.a + 1.0, args.b + 1.0, args.c + 1.0, args.z, args.w)
-    return args.a * args.b / args.c * gauss_2f1(shifted)
-
-
-def f21_derivative(args: HypArgs) -> float:
-    """d/dz of 2F1 at z < 1: the derivative of gauss_2f1_with_derivative,
-    from one evaluation (the joint pass, else the shifted family alone)."""
-    if args.z >= 1.0:
-        raise DomainError(f"derivative requires z < 1, got z={args.z}")
-    pair = _joint_pass(args)
-    return (_shifted_slope(args) if pair is None else pair[1]).value
+    if w > 0.0:
+        route, m = _route_above_switch(a, b, c, z)
+        if route == METHOD_CONNECTION and m >= 0:
+            pair = _connection_with_derivative(a, b, m, w)
+            if all(math.isfinite(value) and err <= _CONNECTION_TRUST * abs(value)
+                   for value, err in pair):
+                return tuple(EvalResult(*result, METHOD_CONNECTION) for result in pair)
+    return gauss_2f1(args), a * b / c * gauss_2f1(HypArgs(a + 1.0, b + 1.0, c + 1.0, z, args.w))
 
 
 def contiguous_residual(sigma: float, alpha: float, rho: float, z: float) -> float:

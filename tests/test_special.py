@@ -24,7 +24,6 @@ from pqelliptic import (
     beta,
     contiguous_residual,
     euler_integral_oracle,
-    f21_derivative,
     gauss_2f1,
     gauss_2f1_with_derivative,
     gauss_value_at_one,
@@ -366,6 +365,59 @@ class TestConnectionRoute:
         assert res.value == pytest.approx(gauss_value_at_one(-0.5, -0.3, 5.7), rel=1e-14)
 
 
+def _shifted(args):
+    """The family (a + 1, b + 1; c + 1) whose 2F1 times ab/c is F', at the same z and w."""
+    return HypArgs(args.a + 1.0, args.b + 1.0, args.c + 1.0, args.z, args.w)
+
+
+#: An Euler integrand (tm + w t)**(-a) past the double range: a large a at a tiny w.
+_OVERFLOW_W = 8.7e-08
+_OVERFLOW_FAMILY = HypArgs(107.156, 2.0, 110.156, 1.0 - _OVERFLOW_W, _OVERFLOW_W)
+
+#: One family for each branch of the route rule, with the route that F and F' take.
+_ROUTE_TABLE = [
+    ("z <= 0.9", HypArgs(0.5, 0.3, 1.7, 0.5), "series"),
+    ("w = 0", HypArgs(0.5, 0.5, 3.0, 1.0), "gauss_closed_form"),
+    ("shorter series", HypArgs(0.5, 0.5, 300.0, 0.95), "series"),
+    ("m = 0", HypArgs(0.5, 0.5, 1.0, 0.95), "connection"),
+    ("m = 1", HypArgs(0.5, 0.5, 2.0, 0.95), "connection"),
+    ("m = 2", HypArgs(0.5, 0.5, 3.0, 0.95), "connection"),
+    ("m = -1", HypArgs(0.7, 0.8, 0.5, 0.95), "connection"),
+    ("polynomial", HypArgs(-2.0, 0.5, 1.5, 0.95), "euler_quadrature"),
+    ("non-integer gap", HypArgs(0.5, 0.3, 1.7, 0.95), "euler_quadrature"),
+    ("large a, low trust", _OVERFLOW_FAMILY, "connection"),
+]
+
+
+class TestRouteAboveSwitch:
+    @pytest.mark.parametrize("args, route", [row[1:] for row in _ROUTE_TABLE],
+                             ids=[row[0] for row in _ROUTE_TABLE])
+    def test_both_functions_share_the_route(self, args, route):
+        value, slope = gauss_2f1_with_derivative(args)
+        plain = gauss_2f1(args)
+        shifted = args.a * args.b / args.c * gauss_2f1(_shifted(args))
+        assert plain.method == value.method == slope.method == route
+        assert abs(value.value - plain.value) <= value.err_estimate + plain.err_estimate
+        assert abs(slope.value - shifted.value) <= slope.err_estimate + shifted.err_estimate
+
+    def test_an_overflowing_euler_integrand_is_no_quadrature(self):
+        # The connection estimate is past 1e-13 relative, so the quadrature
+        # is tried; its overflow leaves the connection value.
+        args = _OVERFLOW_FAMILY
+        assert special._euler_2f1(args.a, args.b, args.c, args.w) is None
+        res = gauss_2f1(args)
+        assert res.method == "connection"
+        with mpmath.workdps(40):
+            a = mpmath.mpf(args.a)
+            exact = mpmath.hyp2f1(a, 2, a + 3, 1 - mpmath.mpf(args.w))  # the exact gap 1
+        assert float(abs(mpmath.mpf(res.value) - exact)) <= res.err_estimate
+        # b = 0 makes F = 1 and F' = 0; the shifted family's integrand overflows.
+        w = 0.0008932080339733927
+        value, slope = gauss_2f1_with_derivative(
+            HypArgs(210.89458327501592, 0.0, 209.89458327501592, 1.0 - w, w))
+        assert (value.value, slope.value) == (1.0, 0.0)
+
+
 def _series_samples(seed, pairs, per_pair):
     """Seeded (p, q) pairs, each with per_pair arguments z in (0, 0.9]: the
     five library families and the two incomplete-beta families of arcsin_pq
@@ -661,18 +713,20 @@ class TestTanhSinh:
         assert value == pytest.approx(math.sin(400.0) / 400.0, rel=1e-12)
 
 
+def _slope(args):
+    return gauss_2f1_with_derivative(args)[1].value
+
+
 class TestDerivative:
     def test_at_zero(self):
-        assert f21_derivative(HypArgs(0.7, 1.3, 2.1, 0.0)) == pytest.approx(
-            0.7 * 1.3 / 2.1, rel=1e-14)
+        assert _slope(HypArgs(0.7, 1.3, 2.1, 0.0)) == pytest.approx(0.7 * 1.3 / 2.1, rel=1e-14)
 
     def test_fd_oracle_log_case(self):
         # frozen central difference of F(1,1;2;.) at 0.5, step 1e-5
-        assert f21_derivative(HypArgs(1.0, 1.0, 2.0, 0.5)) == pytest.approx(
-            1.227411277959778, abs=1e-8)
+        assert _slope(HypArgs(1.0, 1.0, 2.0, 0.5)) == pytest.approx(1.227411277959778, abs=1e-8)
 
     def test_fd_oracle_elliptic_case(self):
-        assert f21_derivative(HypArgs(0.5, 0.5, 1.0, 0.25)) == pytest.approx(
+        assert _slope(HypArgs(0.5, 0.5, 1.0, 0.25)) == pytest.approx(
             0.34487720618203704, abs=1e-8)
 
     def test_fd_parameter_grid(self):
@@ -684,15 +738,20 @@ class TestDerivative:
                 for c_shift in values:
                     c = max(a, b) + c_shift
                     for z in (0.1, 0.5, 0.9):
-                        analytic = f21_derivative(HypArgs(a, b, c, z))
+                        analytic = _slope(HypArgs(a, b, c, z))
                         up = gauss_2f1(HypArgs(a, b, c, z + h)).value
                         down = gauss_2f1(HypArgs(a, b, c, z - h)).value
                         fd = (up - down) / (2.0 * h)
                         assert analytic == pytest.approx(fd, rel=1e-7, abs=1e-9)
 
-    def test_rejects_z_one(self):
-        with pytest.raises(DomainError):
-            f21_derivative(HypArgs(0.5, 0.5, 3.0, 1.0))
+    def test_at_one_is_gauss_sum_of_the_shifted_family(self):
+        # F' = (ab/c) 2F1(a+1, b+1; c+1; 1): finite when the shifted gap
+        # c - a - b - 1 is positive, a divergence when it is not.
+        value, slope = gauss_2f1_with_derivative(HypArgs(0.5, 0.5, 3.0, 1.0))
+        assert value.method == slope.method == "gauss_closed_form"
+        assert slope.value == pytest.approx(0.28294212105225836, rel=1e-14)
+        with pytest.raises(DivergenceError):
+            gauss_2f1_with_derivative(HypArgs(0.5, 0.5, 1.5, 1.0))
 
     def test_with_derivative_against_mpmath(self):
         # The five library families and generic ones with a negative a or b,
@@ -721,17 +780,15 @@ class TestDerivative:
 
     def test_with_derivative_above_the_switch_is_the_shifted_family(self):
         # A gap m >= 0 takes the joint connection pass; F2's gap -1 and a
-        # non-integer gap fall back to gauss_2f1 and its shifted family.
-        # f21_derivative gives the same F' from one evaluation either way.
+        # non-integer gap fall back to exactly gauss_2f1 and its shifted family.
         samples = _connection_samples(3, 2, 2)
         samples += [HypArgs(0.5, 0.3, 1.7, args.z, args.w) for args in samples[::5]]
         for args in samples:
             m = special._integer_gap(args.a, args.b, args.c)
             pair = gauss_2f1_with_derivative(args)
-            assert f21_derivative(args) == pair[1].value
             if m is None or m < 0:
-                shifted = HypArgs(args.a + 1.0, args.b + 1.0, args.c + 1.0, args.z, args.w)
-                assert pair == (gauss_2f1(args), args.a * args.b / args.c * gauss_2f1(shifted))
+                assert pair == (gauss_2f1(args),
+                                args.a * args.b / args.c * gauss_2f1(_shifted(args)))
                 continue
             for res, ref in zip(pair, _exact_with_derivative(args, m)):
                 assert res.method == "connection"
@@ -739,15 +796,15 @@ class TestDerivative:
                 assert err <= 1e-14 * abs(float(ref)), args
                 assert err <= res.err_estimate, args
 
-    def test_derivative_above_the_switch_costs_one_evaluation(self, monkeypatch):
+    def test_gauss_2f1_calls_above_the_switch(self, monkeypatch):
         calls = []
         monkeypatch.setattr(special, "gauss_2f1",
                             lambda args, real=special.gauss_2f1: calls.append(args) or real(args))
-        f21_derivative(HypArgs(0.5, 0.3, 1.7, 0.95))  # non-integer gap: the shifted family
-        assert [args.c for args in calls] == [2.7]
-        calls.clear()
-        f21_derivative(HypArgs(0.5, 0.3, 0.8, 0.95))  # gap 0: the joint connection pass
+        gauss_2f1_with_derivative(HypArgs(0.5, 0.3, 0.8, 0.95))  # gap 0: the joint connection pass
         assert calls == []
+        # A non-integer gap: the family, then its shifted family.
+        gauss_2f1_with_derivative(HypArgs(0.5, 0.3, 1.7, 0.95))
+        assert [args.c for args in calls] == [1.7, 2.7]
 
     def test_connection_pass_calibration(self):
         # The curvature's family (1 + 1/q, 2 - 1/p; 3 + 1/q - 1/p), always on

@@ -265,11 +265,11 @@ def _series_2f1(a: float, b: float, c: float, z: float) -> tuple[float, float]:
     k <= n, by Horner's rule over the family's cached coefficients.
 
     n starts from _series_terms and grows by an eighth until
-    |t_n| < 1e-16 |sum| and |t_n| <= |t_(n-1)|; it depends on (a, b, c, z)
+    |t_n| <= 1e-16 |sum| and |t_n| <= |t_(n-1)|; it depends on (a, b, c, z)
     alone, never on what the cache holds. Returns (value, err_estimate): the
     first omitted term inflated by the geometric tail bound
-    |t_(n+1)| / (1 - |t_(n+1) / t_n|), plus, above SERIES_SWITCH, a bound on
-    the rounding of the sum and of its coefficients. Raises DomainError when
+    |t_(n+1)| / (1 - |t_(n+1) / t_n|), plus _horner_rounding's bound for
+    z > 0 (at z = 0 the sum is c_0 = 1, exactly). Raises DomainError when
     MAX_TERMS terms do not meet the stopping rule.
     """
     n = _series_terms(a, b, c, z)
@@ -281,7 +281,7 @@ def _series_2f1(a: float, b: float, c: float, z: float) -> tuple[float, float]:
         power = z ** (n - 1)
         before = table[n - 1] * power
         last = table[n] * power * z
-        if abs(last) < _SERIES_TOL * abs(total) and abs(last) <= abs(before):
+        if abs(last) <= _SERIES_TOL * abs(total) and abs(last) <= abs(before):
             break
         if n >= MAX_TERMS:
             raise DomainError(f"2F1 series did not converge in {MAX_TERMS} terms "
@@ -292,14 +292,7 @@ def _series_2f1(a: float, b: float, c: float, z: float) -> tuple[float, float]:
         nxt = table[n + 1] * power * z * z
         ratio = abs(nxt / last)
         err = abs(nxt) / (1.0 - ratio) if ratio < 1.0 else math.inf
-    if z > SERIES_SWITCH:
-        # Horner's rule rounds within 2n u of the sum of |t_k| (Higham,
-        # Accuracy and Stability of Numerical Algorithms, 2nd ed., 5.1);
-        # coefficient k carries about 8k u of its own; u = eps / 2.
-        magnitude = 0.0
-        for coef in table[n::-1]:
-            magnitude = magnitude * z + abs(coef)
-        err += 5.0 * (n + 1) * _EPS * magnitude
+    err += _horner_rounding(a, b, c, z, table, n, total, 0.0)[0] if z > 0.0 else 0.0
     return total, err
 
 
@@ -310,13 +303,11 @@ def _series_with_derivative(a: float, b: float, c: float,
 
     n starts from _series_terms of the shifted family (a + 1, b + 1; c + 1),
     whose terms are t'_k / (ab/c), and grows by an eighth until F' meets
-    _series_2f1's stopping rule or a zero term ends the series; it depends
-    on (a, b, c, z) alone. Returns ((F, err_estimate), (F', err_estimate)).
-    F''s tail is bounded as _series_2f1 bounds its own, and F's by z / (n + 2)
-    of it, as t_(k+1) = t'_k z / (k + 1). Each adds the Horner rounding bound
-    5 (n + 2) eps sum |c_k| z^k, for F' sum k |c_k| z^(k-1) (Higham, 5.1),
-    sums which are F and F' themselves when a, b, c > 0 make every
-    coefficient positive. Raises DomainError as _series_2f1 does.
+    _series_2f1's stopping rule; it depends on (a, b, c, z) alone. Returns
+    ((F, err_estimate), (F', err_estimate)). F''s tail is bounded as
+    _series_2f1 bounds its own, and F's by z / (n + 2) of it, as
+    t_(k+1) = t'_k z / (k + 1); each adds _horner_rounding's bound. Raises
+    DomainError as _series_2f1 does.
     """
     n = _series_terms(a + 1.0, b + 1.0, c + 1.0, z)
     while True:
@@ -339,16 +330,27 @@ def _series_with_derivative(a: float, b: float, c: float,
         nxt = (n + 2) * table[n + 2] * power * z * z
         ratio = abs(nxt / last)
         tail = abs(nxt) / (1.0 - ratio) if ratio < 1.0 else math.inf
-    if a > 0.0 and b > 0.0 and c > 0.0:
-        magnitude, slope_magnitude = value, slope
-    else:
+    rounding, slope_rounding = _horner_rounding(a, b, c, z, table, n + 1, value, slope)
+    return (value, z / (n + 2) * tail + rounding), (slope, tail + slope_rounding)
+
+
+def _horner_rounding(a: float, b: float, c: float, z: float, table: array, n: int,
+                     value: float, slope: float) -> tuple[float, float]:
+    """Bounds 5 (n + 1) eps sum |c_k| z^k and, for F', 5 (n + 1) eps sum
+    k |c_k| z^(k-1) on the rounding of Horner sums F, F' over c_0 to c_n:
+    Horner rounds within 2n u of the sum of |t_k| (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., 5.1), and c_k carries about
+    8k u of its own; u = eps / 2. When a, b, c > -1 every c_k past c_0 has
+    the sign of abc, so the sums are 1 + |F - 1| and |F'|; else a second
+    pass over |c_k| forms them."""
+    magnitude, slope_magnitude = 1.0 + abs(value - 1.0), abs(slope)
+    if a <= -1.0 or b <= -1.0 or c <= -1.0:
         magnitude = slope_magnitude = 0.0
-        for coef in table[n + 1::-1]:
+        for coef in table[n::-1]:
             slope_magnitude = slope_magnitude * z + magnitude
             magnitude = magnitude * z + abs(coef)
-    rounding = 5.0 * (n + 2) * _EPS
-    return ((value, z / (n + 2) * tail + rounding * magnitude),
-            (slope, tail + rounding * slope_magnitude))
+    rounding = 5.0 * (n + 1) * _EPS
+    return rounding * magnitude, rounding * slope_magnitude
 
 
 def _euler_2f1(a: float, b: float, c: float, w: float) -> EvalResult | None:
@@ -597,16 +599,15 @@ def _route_above_switch(a: float, b: float, c: float, z: float) -> tuple[str, in
 def gauss_2f1(args: HypArgs) -> EvalResult:
     """Gauss hypergeometric function on [0, 1] with an error estimate.
 
-    Series with tail-bound stopping up to z = 0.9. Above that, the route of
-    _route_above_switch: the 1 - z connection formula in w = 1 - z when
-    c - a - b is within rounding of an integer m (and is then taken as m),
-    unless the series' terms fall below 1e-16 within fewer than the m terms
-    of its finite sum; otherwise, or when its estimate exceeds 1e-13
-    relative and the quadrature's is smaller, the Euler-integral quadrature,
-    or the series when no Euler ordering is valid or the quadrature's
-    integrand overflows. A series above 0.9 adds a rounding bound to its
-    estimate. Exactly at z = 1 (w = 0) the gamma-ratio closed form, which
-    requires c - a - b > 0.
+    The series up to z = 0.9, its estimate bounding tail and rounding at
+    every z. Above that, the route of _route_above_switch: the 1 - z
+    connection formula in w = 1 - z when c - a - b is within rounding of an
+    integer m (and is then taken as m), unless the series' terms fall below
+    1e-16 within fewer than the m terms of its finite sum; otherwise, or
+    when its estimate exceeds 1e-13 relative and the quadrature's is
+    smaller, the Euler-integral quadrature, or the series when no Euler
+    ordering is valid or the quadrature's integrand overflows. Exactly at
+    z = 1 (w = 0) the gamma-ratio closed form, which requires c - a - b > 0.
     A series past MAX_TERMS terms, or a result without a finite error
     estimate, raises DomainError, a value past the double range DivergenceError.
     """
@@ -664,7 +665,7 @@ def gauss_2f1_with_derivative(args: HypArgs) -> tuple[EvalResult, EvalResult]:
     an error estimate.
 
     Up to z = 0.9 one Horner pass over the family's coefficients gives both,
-    and each estimate adds a rounding bound to the tail bound. Above that,
+    each estimate bounding tail and rounding as gauss_2f1's does. Above that,
     where gauss_2f1's route (_route_above_switch) is the connection formula
     with a gap m >= 0, one pass of the log-case series gives both
     (_connection_with_derivative), unless either estimate exceeds 1e-13

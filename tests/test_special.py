@@ -182,6 +182,21 @@ class TestGauss2F1:
         with pytest.raises(DivergenceError):
             gauss_2f1(HypArgs(0.5, 0.5, 1.0, 1.0))
 
+    def test_terminating_sum_that_rounds_to_zero_stops(self):
+        # A cubic in z (b = -3, no Euler ordering, so the series runs above
+        # 0.9) whose four terms sum to 0.0: the stopping test must hold at a
+        # zero sum (|t_n| <= 1e-16 |sum|), or the sum runs to MAX_TERMS terms.
+        w = 8.16481449726225e-08
+        args = HypArgs(158.4326093646746, -3.0, 157.4326093646746, 1.0 - w, w)
+        with mpmath.workdps(40):
+            a, b, c = map(mpmath.mpf, (args.a, args.b, args.c))
+            z = 1 - mpmath.mpf(w)
+            exact = (mpmath.hyp2f1(a, b, c, z), a * b / c * mpmath.hyp2f1(a + 1, b + 1, c + 1, z))
+        for res, ref in ((gauss_2f1(args), exact[0]),
+                         *zip(gauss_2f1_with_derivative(args), exact)):
+            assert res.method == "series"
+            assert float(abs(mpmath.mpf(res.value) - ref)) <= res.err_estimate < 1e-13
+
     def test_z_domain(self):
         with pytest.raises(DomainError):
             HypArgs(0.5, 0.5, 1.0, -0.1)
@@ -400,6 +415,16 @@ class TestRouteAboveSwitch:
         assert abs(value.value - plain.value) <= value.err_estimate + plain.err_estimate
         assert abs(slope.value - shifted.value) <= slope.err_estimate + shifted.err_estimate
 
+    def test_euler_route_is_symmetric_in_a_and_b(self):
+        # Only c > a > 0 holds for (0.3, 2.5; 1.7), so the route swaps a and b
+        # into the ordering c > b > 0 that (2.5, 0.3; 1.7) has as given.
+        swapped, given = (gauss_2f1(HypArgs(a, b, 1.7, 0.95)) for a, b in ((0.3, 2.5), (2.5, 0.3)))
+        assert swapped == given
+        assert given.method == "euler_quadrature"
+        with mpmath.workdps(30):
+            exact = mpmath.hyp2f1(0.3, 2.5, 1.7, 0.95)
+        assert float(abs(mpmath.mpf(given.value) - exact)) <= given.err_estimate
+
     def test_an_overflowing_euler_integrand_is_no_quadrature(self):
         # The connection estimate is past 1e-13 relative, so the quadrature
         # is tried; its overflow leaves the connection value.
@@ -529,8 +554,9 @@ class TestCoefficientTables:
                 res = gauss_2f1(args)
                 assert res.method == "series"
                 exact = mpmath.hyp2f1(args.a, args.b, args.c, args.z)
-                rel = float(abs((mpmath.mpf(res.value) - exact) / exact))
-                assert rel <= 2e-15, args
+                err = abs(mpmath.mpf(res.value) - exact)
+                assert float(err / abs(exact)) <= 2e-15, args
+                assert float(err) <= res.err_estimate, args
 
     def test_threads_share_the_tables(self, fresh_tables):
         samples = _series_samples(5, 4, 4) + _connection_samples(6, 4, 4)
@@ -769,10 +795,13 @@ class TestDerivative:
             for family in families:
                 a, b, c = family.a, family.b, family.c
                 for z in (0.0, rng.uniform(0.0, 0.9), special.SERIES_SWITCH):
-                    value, slope = gauss_2f1_with_derivative(HypArgs(a, b, c, z))
+                    args = HypArgs(a, b, c, z)
+                    value, slope = gauss_2f1_with_derivative(args)
                     exact = (mpmath.hyp2f1(a, b, c, z),
                              a * b / c * mpmath.hyp2f1(a + 1, b + 1, c + 1, z))
-                    for res, ref in zip((value, slope), exact):
+                    # The plain pass, on its own term count, under the same contract.
+                    plain = gauss_2f1(args)
+                    for res, ref in zip((value, slope, plain), (*exact, exact[0])):
                         assert res.method == "series"
                         err = float(abs(mpmath.mpf(res.value) - ref))
                         assert err <= 1e-14 * max(1.0, abs(float(ref))), (family, z)

@@ -2,13 +2,15 @@
 
 Log-gamma, beta, the unregularized incomplete beta, and a Gauss
 hypergeometric evaluator that returns a value together with an a-posteriori
-error estimate and a tag for the evaluation route that produced it.
+error estimate and a tag for the evaluation route that produced it: the
+direct series up to z = 0.9 and a 1 - z connection formula for every gap
+above it, with tanh-sinh quadrature only as the rescue of a poor estimate.
 
 Every function is pure: its result depends on its arguments alone. The
 direct series keeps each (a, b, c) family's coefficients, exactly as many as
 were asked for, in one module-private cache of 2**18 coefficients (2 MiB,
 which holds the largest warm working set measured; see _CoefficientTables),
-and the 1 - z connection formula each family's gamma ratios and digamma
+and the log-case connection formula each family's gamma ratios and digamma
 seeds in another (see _log_constants); both store a family on its first
 request. Every table is an array built one way, a copy extended by the same
 recurrence, and is never changed once stored; the tables are stored under a
@@ -24,6 +26,7 @@ import sys
 import threading
 from array import array
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .quadrature import tanh_sinh_01
 
@@ -46,8 +49,7 @@ METHOD_CONNECTION = "connection"
 MAX_TERMS = 200_000
 
 #: Above this argument the raw series is not trusted on its own and the
-#: evaluator switches to the 1 - z connection formula (integer c - a - b)
-#: or to the Euler-integral quadrature route (any other c - a - b).
+#: evaluator switches to a 1 - z connection formula (see _route_above_switch).
 SERIES_SWITCH = 0.9
 
 _SERIES_TOL = 1e-16
@@ -56,7 +58,7 @@ _EPS = 2.0 ** -52
 _EULER_GAMMA = 0.5772156649015329
 _LOG_MAX = math.log(sys.float_info.max)  # the largest argument exp keeps finite
 #: Relative error estimate up to which a connection-formula result is kept
-#: without trying the quadrature route, and a joint F, F' pass without
+#: without trying the quadrature rescue, and a joint F, F' pass without
 #: falling back to two gauss_2f1 calls.
 _CONNECTION_TRUST = 1e-13
 
@@ -82,7 +84,7 @@ class HypArgs:
         a, b, c, z, w = self.a, self.b, self.c, self.z, self.w
         if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
             raise DomainError(f"a, b and c must be finite, got a={a}, b={b}, c={c}")
-        if c <= 0 and c == math.floor(c):
+        if _pole(c):
             raise DomainError(f"c must not be a non-positive integer, got c={c}")
         if not 0.0 <= z <= 1.0:
             raise DomainError(f"z must lie in [0, 1], got z={z}")
@@ -103,6 +105,12 @@ def _integer_gap(a: float, b: float, c: float) -> int | None:
         return None
     m = round(gap)
     return m if abs(gap - m) <= 8.0 * _EPS * (1.0 + abs(a) + abs(b) + abs(c)) else None
+
+
+def _pole(x: float) -> bool:
+    """x is a non-positive integer: a pole of Gamma, and as a or b the end of a
+    terminating 2F1 series of degree -x."""
+    return x <= 0 and x == math.floor(x)
 
 
 def _gap_at_one(a: float, b: float, c: float) -> float:
@@ -246,9 +254,12 @@ _COEFFICIENTS = _CoefficientTables(budget=1 << 18)
 def _series_terms(a: float, b: float, c: float, z: float) -> int:
     """Where the terms of the direct series, falling off like k^(a+b-c-1) z^k,
     meet 1e-16, within [1, MAX_TERMS]: a start for the term count. At z = 1
-    the algebraic factor alone decides; at z = 0 one term is enough."""
+    the algebraic factor alone decides; at z = 0 one term is enough. A
+    terminating series (a or b a non-positive integer) takes its degree + 1."""
     e = a + b - c - 1.0
-    if 0.0 < z < 1.0:
+    if _pole(a) or _pole(b):
+        n = 1 - int(max(x for x in (a, b) if _pole(x)))
+    elif 0.0 < z < 1.0:
         log_z = math.log(z)
         n = 2 + int((_LOG_SERIES_TOL - e * math.log(1.0 + _LOG_SERIES_TOL / log_z)) / log_z)
     elif z == 1.0 and e < 0.0 and _LOG_SERIES_TOL / e < math.log(MAX_TERMS):
@@ -354,24 +365,31 @@ def _horner_rounding(a: float, b: float, c: float, z: float, table: array, n: in
 
 
 def _euler_2f1(a: float, b: float, c: float, w: float) -> EvalResult | None:
-    """Euler-integral route at z = 1 - w, valid when c > b > 0 (or c > a > 0 after
-    swap); None without such an ordering or when the integrand overflows."""
-    if not (c > b > 0.0):
-        if c > a > 0.0:
-            a, b = b, a
-        else:
-            return None
-    prefactor, size = _gamma_ratio((c,), (b, c - b))
+    """Euler-integral rescue at z = 1 - w, valid when c > b > 0 (or c > a > 0
+    after swap), of the family of m when _integer_gap reads the gap as m
+    (c - b is then a + m); None without such an ordering, when the integrand
+    overflows or when the quadrature does not converge."""
+    m = _integer_gap(a, b, c)
+    for a, b in ((a, b), (b, a)):
+        cb = c - b if m is None else a + m
+        if b > 0.0 and cb > 0.0:
+            break
+    else:
+        return None
+    prefactor, size = _gamma_ratio((c,), (b, cb))
 
     def integrand(t: float, tm: float) -> float:
         # 1 - z*t rewritten as tm + w*t: stable inside the t -> 1 layer.
-        return t ** (b - 1.0) * tm ** (c - b - 1.0) * (tm + w * t) ** (-a)
+        return t ** (b - 1.0) * tm ** (cb - 1.0) * (tm + w * t) ** (-a)
 
     try:
         value, err = tanh_sinh_01(integrand, rel_tol=5e-14, max_level=10)
-    except OverflowError:  # (tm + w t)**(-a) past the double range: no quadrature either
-        return None
-    rounding = (4e-16 + _EPS * size) * abs(prefactor * value)
+        # From the third halving on the nodes reach t and 1 - t below e^-600:
+        # the integral left beyond them.
+        err += math.exp(-600.0 * b) / b + w ** (-a) * math.exp(-600.0 * cb) / cb
+    except (OverflowError, DomainError):  # (tm + w t)**(-a) past the double range, or
+        return None  # the levels ran out: no quadrature either
+    rounding = (4e-16 + _EPS * (size + 2.0 * (abs(a) + abs(b) + abs(c)))) * abs(prefactor * value)
     return EvalResult(prefactor * value, prefactor * err + rounding, METHOD_EULER_QUADRATURE)
 
 
@@ -447,15 +465,19 @@ def _connection_2f1(a: float, b: float, m: int, w: float) -> tuple[float, float]
     m >= 0: the family's _log_constants, its finite sum of m terms plus
     lead w^m (ln w U(w) + V(w)), where U and V sum u_k w^k and
     u_k (e1_k + e2_k) w^k in one forward pass. m < 0 goes through the Euler
-    transformation to the family (b + m, a + m) of gap -m (DLMF 15.8.1).
+    transformation w^m F(b + m, a + m; c; z) (DLMF 15.8.1): the log case of
+    gap -m, or the polynomial when b + m or a + m is a non-positive integer.
     The term count n starts from _series_terms of the series in w, less m,
     and grows by an eighth until the bound on term n is below 1e-16 of the
     sum and a geometric tail bound holds from there: like the direct
-    series' count it depends on the arguments alone. Needs a, b and a + m,
-    b + m off the non-positive integers.
+    series' count it depends on the arguments alone. Needs a and b off the
+    non-positive integers.
     """
     if m < 0:
-        value, err = _connection_2f1(b + m, a + m, -m, w)
+        if _pole(a + m) or _pole(b + m):
+            value, err = _series_2f1(b + m, a + m, a + b + m, 1.0 - w)
+        else:
+            value, err = _connection_2f1(b + m, a + m, -m, w)
         scale = w ** m if m * math.log(w) < 709.0 else math.inf
         return scale * value, scale * err + 2.0 * _EPS * abs(scale * value)
     f, finite, finite_size, lead, lead_size, e1, e2 = _log_constants(a, b, m)
@@ -502,6 +524,43 @@ def _connection_2f1(a: float, b: float, m: int, w: float) -> tuple[float, float]
     rounding = _EPS * ((2.0 * n + 24.0 + lead_size) * abs(lead) * (abs_log_w * u_abs + e_abs)
                        + (2.0 * m + 24.0 + finite_size) * abs(finite))
     return total, abs(lead) * tail + rounding
+
+
+def _gap_connection(a: float, b: float, c: float, w: float) -> tuple[float, float]:
+    """2F1(a, b; c; 1 - w), 0 < w <= 1/2, for a gap g = c - a - b off the
+    integers: A F(a, b; 1 - g; w) + B w^g F(c - a, c - b; 1 + g; w) (DLMF
+    15.8.4), A = Gamma(c) Gamma(g) / (Gamma(c - a) Gamma(c - b)) and
+    B = Gamma(c) Gamma(-g) / (Gamma(a) Gamma(b)). The estimate adds to the
+    series' own the rounding of the gamma ratios and of w^g, and that of g
+    itself as w^g, Gamma(g) and Gamma(-g) feel it: about eps/delta at delta
+    from an integer. Needs a and b off the non-positive integers.
+    """
+    g = c - a - b
+    # 1/Gamma(d), d = c - x exactly, below 1 by reflection, Gamma(1 - d) sin(pi d) / pi:
+    # 0 at a pole, where the Euler transform terminates, and accurate beside one.
+    num, den, scale = [c, g], [], 1.0
+    for x in (a, b):
+        diff = Fraction(c) - Fraction(x)
+        if diff < 1:
+            n = round(diff)
+            scale *= (-1.0) ** n * math.sin(math.pi * float(diff - n)) / math.pi
+            num.append(float(1 - diff))
+        else:
+            den.append(float(diff))
+    first, first_size = _gamma_ratio(tuple(num), tuple(den))
+    second, second_size = _gamma_ratio((c, -g), (a, b))
+    log_w = math.log(w)
+    first, second = scale * first, second * (w ** g if g * log_w < 709.0 else math.inf)
+    value, err = _series_2f1(a, b, 1.0 - g, w)
+    value2, err2 = _series_2f1(c - a, c - b, 1.0 + g, w)
+    value, value2 = first * value, second * value2
+    g_size = abs(a) + abs(b) + abs(c)  # g's rounding, in ulps
+    # A bound on |psi(g)| + |psi(-g)|, the relative change of Gamma(g) and Gamma(-g) with g.
+    psi_bound = 2.0 * (1.0 + math.log(2.0 + abs(g)) + 1.0 / abs(g - round(g)))
+    rounding = ((24.0 + first_size) * abs(value)
+                + (24.0 + second_size + abs(log_w) * (abs(g) + g_size)) * abs(value2)
+                + g_size * psi_bound * abs(value + value2))
+    return value + value2, abs(first) * err + abs(second) * err2 + _EPS * rounding
 
 
 def _connection_with_derivative(a: float, b: float, m: int,
@@ -579,20 +638,15 @@ def _connection_with_derivative(a: float, b: float, m: int,
 def _route_above_switch(a: float, b: float, c: float, z: float) -> tuple[str, int | None]:
     """The route above SERIES_SWITCH with w = 1 - z > 0, and the integer gap
     m it reads (None when c - a - b is not one): the one rule gauss_2f1 and
-    gauss_2f1_with_derivative share. The direct series when so large a gap m
-    makes its terms fall off within fewer terms than the connection route's
-    finite sum has; else the connection formula for an integer gap, unless
-    a or b, or a + m or b + m, is a non-positive integer (the series or its
-    Euler transform terminates, and gamma has poles there); else the
-    Euler-integral quadrature."""
+    gauss_2f1_with_derivative share. The direct series when it terminates (a
+    or b a non-positive integer) or when so large a gap makes its terms fall
+    off within fewer terms than the gap (the log case's finite sum has m, and
+    DLMF 15.8.4's second series runs long); else the connection formula."""
     m = _integer_gap(a, b, c)
-    if m is None:
-        return METHOD_EULER_QUADRATURE, None
-    if m > 1 and max(_series_terms(a, b, c, z), _series_terms(a, b, c, 1.0)) < m:
+    gap = c - a - b if m is None else m
+    if _pole(a) or _pole(b) or (
+            gap > 1 and max(_series_terms(a, b, c, z), _series_terms(a, b, c, 1.0)) < gap):
         return METHOD_SERIES, m
-    if ((a == math.floor(a) and min(a, a + m) <= 0.0)
-            or (b == math.floor(b) and min(b, b + m) <= 0.0)):
-        return METHOD_EULER_QUADRATURE, m
     return METHOD_CONNECTION, m
 
 
@@ -600,16 +654,15 @@ def gauss_2f1(args: HypArgs) -> EvalResult:
     """Gauss hypergeometric function on [0, 1] with an error estimate.
 
     The series up to z = 0.9, its estimate bounding tail and rounding at
-    every z. Above that, the route of _route_above_switch: the 1 - z
-    connection formula in w = 1 - z when c - a - b is within rounding of an
-    integer m (and is then taken as m), unless the series' terms fall below
-    1e-16 within fewer than the m terms of its finite sum; otherwise, or
-    when its estimate exceeds 1e-13 relative and the quadrature's is
-    smaller, the Euler-integral quadrature, or the series when no Euler
-    ordering is valid or the quadrature's integrand overflows. Exactly at
-    z = 1 (w = 0) the gamma-ratio closed form, which requires c - a - b > 0.
-    A series past MAX_TERMS terms, or a result without a finite error
-    estimate, raises DomainError, a value past the double range DivergenceError.
+    every z. Above that, the route of _route_above_switch: the series, or a
+    1 - z connection formula in w = 1 - z, the log case when c - a - b is
+    within rounding of an integer m (and is then taken as m), else DLMF
+    15.8.4. An estimate past 1e-13 relative is rescued by the Euler-integral
+    quadrature where an Euler ordering is valid and its estimate is smaller.
+    Exactly at z = 1 (w = 0) the gamma-ratio closed form, which requires
+    c - a - b > 0. A series past MAX_TERMS terms, or a result without a
+    finite error estimate, raises DomainError, a value past the double range
+    DivergenceError.
     """
     a, b, c, z = args.a, args.b, args.c, args.z
     if z <= SERIES_SWITCH:
@@ -619,19 +672,18 @@ def gauss_2f1(args: HypArgs) -> EvalResult:
         value = gauss_value_at_one(a, b, c)
         return EvalResult(value, 8e-16 * abs(value), METHOD_GAUSS_CLOSED_FORM)
     route, m = _route_above_switch(a, b, c, z)
-    result = None
     if route == METHOD_SERIES:
         result = EvalResult(*_series_2f1(a, b, c, z), METHOD_SERIES)
-    elif route == METHOD_CONNECTION:
+    elif m is None:
+        result = EvalResult(*_gap_connection(a, b, c, w), METHOD_CONNECTION)
+    else:
         result = EvalResult(*_connection_2f1(a, b, m, w), METHOD_CONNECTION)
-    # Large a, b let the log series cancel; the quadrature may then do better.
-    if result is None or (math.isfinite(result.value)
-                          and result.err_estimate > _CONNECTION_TRUST * abs(result.value)):
+    # Large a, b let the log series cancel, a gap near an integer the two terms
+    # of DLMF 15.8.4; the quadrature may then do better.
+    if math.isfinite(result.value) and result.err_estimate > _CONNECTION_TRUST * abs(result.value):
         euler = _euler_2f1(a, b, c, w)
-        if euler is not None and (result is None or euler.err_estimate < result.err_estimate):
+        if euler is not None and euler.err_estimate < result.err_estimate:
             result = euler
-    if result is None:
-        result = EvalResult(*_series_2f1(a, b, c, z), METHOD_SERIES)
     if not math.isfinite(result.value):
         raise DivergenceError(f"2F1 exceeds the double range at z={z}, w={w}")
     if not math.isfinite(result.err_estimate):
@@ -650,9 +702,9 @@ def gauss_value_at_one(a: float, b: float, c: float) -> float:
     gap = _gap_at_one(a, b, c)
     if gap <= 0.0:
         raise DivergenceError(f"2F1 diverges at z=1 when c-a-b <= 0 (got c-a-b={gap})")
-    if c <= 0.0 and c == math.floor(c):
+    if _pole(c):
         raise DomainError(f"c must not be a non-positive integer, got c={c}")
-    if any(x <= 0.0 and x == math.floor(x) for x in (c - a, c - b)):
+    if _pole(c - a) or _pole(c - b):
         return 0.0  # 1 / Gamma vanishes at its poles; lgamma raises there
     value = _gamma_ratio((c, c - a - b), (c - a, c - b))[0]
     if math.isinf(value):
@@ -680,7 +732,7 @@ def gauss_2f1_with_derivative(args: HypArgs) -> tuple[EvalResult, EvalResult]:
     w = 1.0 - z if args.w is None else args.w
     if w > 0.0:
         route, m = _route_above_switch(a, b, c, z)
-        if route == METHOD_CONNECTION and m >= 0:
+        if route == METHOD_CONNECTION and m is not None and m >= 0:
             pair = _connection_with_derivative(a, b, m, w)
             if all(math.isfinite(value) and err <= _CONNECTION_TRUST * abs(value)
                    for value, err in pair):

@@ -12,6 +12,7 @@ import csv
 import json
 import math
 import sys
+from types import SimpleNamespace
 
 import click
 
@@ -41,10 +42,6 @@ QUANTITIES = (*_EVALUATORS, "pi")
 
 EXIT_FAIL = 1
 EXIT_USAGE = 2
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _evaluate(quantity: str, params: PQParams, r: float | None) -> EvalResult:
@@ -121,20 +118,22 @@ def cmd_scan(grid_text: str | None, quantity: str, out_path: str) -> None:
     errors become nan rows with a diagnostic note instead of aborting.
     """
     grid = _parse_grid(grid_text)
-    rows: list[list[str]] = []
+    r_points = [(r, f"{r:.17g}") for r in grid.r.points()]
+    lines = ["p,q,r,value,err_estimate,method,note\n"]
+    # A row with a note goes through csv, which quotes what the note may hold.
+    note_writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
     for p, q, params in claims_mod._grid_params(grid):
-        for r in grid.r.points():
+        p_text, q_text = f"{p:.17g}", f"{q:.17g}"
+        for r, r_text in r_points:
             try:
                 result = _evaluate(quantity, params, r)
-                rows.append([_fmt(p), _fmt(q), _fmt(r), _fmt(result.value),
-                             _fmt(result.err_estimate), result.method, ""])
+                lines.append(f"{p_text},{q_text},{r_text},{result.value:.17g},"
+                             f"{result.err_estimate:.17g},{result.method},\n")
             except (DomainError, DivergenceError) as exc:
-                rows.append([_fmt(p), _fmt(q), _fmt(r), "nan", "nan", "", str(exc)])
+                note_writer.writerow([p_text, q_text, r_text, "nan", "nan", "", str(exc)])
     with open(out_path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["p", "q", "r", "value", "err_estimate", "method", "note"])
-        writer.writerows(rows)
-    click.echo(f"wrote {len(rows)} rows to {out_path}")
+        handle.write("".join(lines))
+    click.echo(f"wrote {len(lines) - 1} rows to {out_path}")
 
 
 @main.command("verify")
@@ -192,14 +191,12 @@ def cmd_regions(grid_text: str | None, out_path: str) -> None:
     reported in full precision. Suitable for external plotting.
     """
     grid = _parse_grid(grid_text)
+    lines = ["p,q,cond1,epsilon,admissible\n"]
+    for p, q in grid.pq_points():
+        cond, eps, adm = delta_mod._admissibility(p, q)
+        lines.append(f"{p:.17g},{q:.17g},{str(cond).lower()},{eps:.17g},{str(adm).lower()}\n")
     with open(out_path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["p", "q", "cond1", "epsilon", "admissible"])
-        for p, q in grid.pq_points():
-            cond = delta_mod.condition1(p, q)
-            eps = delta_mod.epsilon(p, q)
-            adm = cond and eps > 0
-            writer.writerow([_fmt(p), _fmt(q), str(cond).lower(), _fmt(eps), str(adm).lower()])
+        handle.write("".join(lines))
     click.echo(f"wrote region map to {out_path}")
 
 

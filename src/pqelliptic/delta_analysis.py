@@ -143,8 +143,11 @@ def delta_result(params: PQParams, r: float) -> EvalResult:
     a, b = params.inv_q, params.inv_p
     x, w = _power_pair(params.p, r)
     at_zero = _kernel_at_zero(a, b, params.pi_pq)  # pi_{1/b,1/a} = pi_{p,q}
-    return (at_zero * gauss_2f1(_kernel_args(a, b, x, w))
-            - at_zero * gauss_2f1(_kernel_args(a, b, w, x)))
+    kx, kw = gauss_2f1(_kernel_args(a, b, x, w)), gauss_2f1(_kernel_args(a, b, w, x))
+    # at_zero * kx - at_zero * kw: the floats of EvalResult's operators, in one result.
+    return EvalResult(at_zero * kx.value - at_zero * kw.value,
+                      abs(at_zero) * kx.err_estimate + abs(at_zero) * kw.err_estimate,
+                      _joined_route(kx, kw))
 
 
 def delta(params: PQParams, r: float) -> float:
@@ -186,8 +189,11 @@ def delta_prime_result(params: PQParams, r: float) -> EvalResult:
         raise DomainError(f"slope requires r in [0, 1), got r={r}")
     a1, b1, c1 = _derivative_front(params)
     x, w = _power_pair(params.p, r)
-    return DeltaConstants.for_params(params).eta * r ** (params.p - 1.0) * (
-        gauss_2f1(HypArgs(a1, b1, c1, x, w)) + gauss_2f1(HypArgs(a1, b1, c1, w, x)))
+    scale = DeltaConstants.for_params(params).eta * r ** (params.p - 1.0)
+    fx, fw = gauss_2f1(HypArgs(a1, b1, c1, x, w)), gauss_2f1(HypArgs(a1, b1, c1, w, x))
+    # scale * (fx + fw): the floats of EvalResult's operators, in one result.
+    return EvalResult(scale * (fx.value + fw.value),
+                      abs(scale) * (fx.err_estimate + fw.err_estimate), _joined_route(fx, fw))
 
 
 def delta_prime(params: PQParams, r: float) -> float:
@@ -255,34 +261,7 @@ def epsilon(p, q):
     Fraction for int or Fraction inputs, otherwise that value correctly
     rounded to a float.
     """
-    pn, pd, qn, qd = _admissibility_ratios(p, q)
-    numerator, denominator = _epsilon_numerator(pn, pd, qn, qd), pn ** 3 * qn ** 2
-    if isinstance(p, Rational) and isinstance(q, Rational):
-        return Fraction(numerator, denominator)
-    return numerator / denominator  # int / int rounds correctly
-
-
-def _epsilon_numerator(pn: int, pd: int, qn: int, qd: int) -> int:
-    """epsilon(p, q) times pn**3 qn**2 for p = pn/pd and q = qn/qd."""
-    return (20 * pn ** 3 * qn ** 2 - 42 * pd * pn ** 2 * qn ** 2 + 6 * qd * pn ** 3 * qn
-            + 21 * pd ** 2 * pn * qn ** 2 - 2 * qd ** 2 * pn ** 3 - 20 * pd * qd * pn ** 2 * qn
-            + 9 * pd ** 2 * qd * pn * qn - 3 * pd ** 3 * qn ** 2 - pd ** 3 * qd * qn)
-
-
-def _admissibility_ratios(p, q) -> tuple[int, int, int, int]:
-    """(pn, pd, qn, qd) with p = pn/pd and q = qn/qd exactly (binary floats convert
-    exactly), pd, qd > 0; p, q > 1 or DomainError."""
-    (pn, pd), (qn, qd) = ((x if isinstance(x, (int, float, Fraction)) else Fraction(x))
-                          .as_integer_ratio() for x in (p, q))
-    if not (pn > pd and qn > qd):
-        raise DomainError(f"admissibility requires p > 1 and q > 1, got p={p}, q={q}")
-    return pn, pd, qn, qd
-
-
-def _condition1(pn: int, pd: int, qn: int, qd: int) -> bool:
-    # 2 + 1/p + 1/p**2 <= 5/p + 1/q < 3 + 1/p**2, each side times pn**2 qn > 0.
-    middle = 5 * pd * pn * qn + qd * pn ** 2
-    return 2 * pn ** 2 * qn + pd * pn * qn + pd ** 2 * qn <= middle < 3 * pn ** 2 * qn + pd ** 2 * qn
+    return _admissibility(p, q)[1]
 
 
 def condition1(p, q) -> bool:
@@ -293,13 +272,32 @@ def condition1(p, q) -> bool:
     boundary classification reproducible: 2 + 1/p + 1/p**2 <= 5/p + 1/q <
     3 + 1/p**2.
     """
-    return _condition1(*_admissibility_ratios(p, q))
+    return _admissibility(p, q)[0]
 
 
 def admissible(p, q) -> bool:
     """Both admissibility conditions: condition1 and epsilon > 0 (strict), exactly."""
-    ratios = _admissibility_ratios(p, q)
-    return _condition1(*ratios) and _epsilon_numerator(*ratios) > 0
+    return _admissibility(p, q)[2]
+
+
+def _admissibility(p, q) -> tuple[bool, Fraction | float, bool]:
+    """(condition1, epsilon, admissible) from one exact reading of p = pn/pd and
+    q = qn/qd (binary floats convert exactly), pd, qd > 0; p, q > 1 or DomainError."""
+    (pn, pd), (qn, qd) = ((x if isinstance(x, (int, float, Fraction)) else Fraction(x))
+                          .as_integer_ratio() for x in (p, q))
+    if not (pn > pd and qn > qd):
+        raise DomainError(f"admissibility requires p > 1 and q > 1, got p={p}, q={q}")
+    # 2 + 1/p + 1/p**2 <= 5/p + 1/q < 3 + 1/p**2, each side times pn**2 qn > 0.
+    middle = 5 * pd * pn * qn + qd * pn ** 2
+    cond = 2 * pn ** 2 * qn + pd * pn * qn + pd ** 2 * qn <= middle < 3 * pn ** 2 * qn + pd ** 2 * qn
+    # epsilon times pn**3 qn**2.
+    numerator = (20 * pn ** 3 * qn ** 2 - 42 * pd * pn ** 2 * qn ** 2 + 6 * qd * pn ** 3 * qn
+                 + 21 * pd ** 2 * pn * qn ** 2 - 2 * qd ** 2 * pn ** 3 - 20 * pd * qd * pn ** 2 * qn
+                 + 9 * pd ** 2 * qd * pn * qn - 3 * pd ** 3 * qn ** 2 - pd ** 3 * qd * qn)
+    denominator = pn ** 3 * qn ** 2
+    eps = (Fraction(numerator, denominator) if isinstance(p, Rational) and isinstance(q, Rational)
+           else numerator / denominator)  # int / int rounds correctly
+    return cond, eps, cond and numerator > 0
 
 
 def sharp_linear_bounds(params: PQParams, r: float) -> tuple[float, float]:

@@ -75,8 +75,9 @@ def _complete_args(params: PQParams, first_kind: bool, z: float,
 
 
 def _complete_integral(params: PQParams, first_kind: bool, z: float, w: float) -> EvalResult:
-    """(pi_pq / 2) * 2F1 of the selected family, at z = r**p with w = 1 - z."""
-    return 0.5 * params.pi_pq * gauss_2f1(_complete_args(params, first_kind, z, w))
+    """(pi_pq / 2) * 2F1 of the selected family, at z = r**p with w = 1 - z, as one result."""
+    scale, f = 0.5 * params.pi_pq, gauss_2f1(_complete_args(params, first_kind, z, w))
+    return EvalResult(scale * f.value, abs(scale) * f.err_estimate, f.method)
 
 
 def K_comp(params: PQParams, r: float) -> EvalResult:

@@ -13,15 +13,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .special import DomainError, beta, inc_beta
+from .special import DomainError, _slot_setters, beta, inc_beta
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PQParams:
     """Validated parameter pair (p, q), both finite and strictly greater than 1.
 
-    Immutable after construction; the generalized circle constant and the
-    reciprocal exponents are cached at creation time.
+    Immutable after construction and equal by field; the generalized circle
+    constant and the reciprocal exponents are cached at creation time.
     """
 
     p: float
@@ -30,14 +30,20 @@ class PQParams:
     inv_q: float = field(init=False)
     pi_pq: float = field(init=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "pi_pq", pi_pq(self.p, self.q))  # validates p and q
-        object.__setattr__(self, "inv_p", 1.0 / self.p)
-        object.__setattr__(self, "inv_q", 1.0 / self.q)
+    def __init__(self, p: float, q: float) -> None:
+        set_p, set_q, set_inv_p, set_inv_q, set_pi_pq = _PQ_PARAMS_SLOTS
+        set_pi_pq(self, pi_pq(p, q))  # validates p and q
+        set_p(self, p)
+        set_q(self, q)
+        set_inv_p(self, 1.0 / p)
+        set_inv_q(self, 1.0 / q)
 
     @property
     def half_period(self) -> float:
         return 0.5 * self.pi_pq
+
+
+_PQ_PARAMS_SLOTS = _slot_setters(PQParams)
 
 
 def pi_pq(p: float, q: float) -> float:

@@ -25,7 +25,7 @@ import math
 import sys
 import threading
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .quadrature import tanh_sinh_01
@@ -80,8 +80,7 @@ class HypArgs:
     z: float
     w: float | None = None
 
-    def __post_init__(self) -> None:
-        a, b, c, z, w = self.a, self.b, self.c, self.z, self.w
+    def __init__(self, a: float, b: float, c: float, z: float, w: float | None = None) -> None:
         if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
             raise DomainError(f"a, b and c must be finite, got a={a}, b={b}, c={c}")
         if _pole(c):
@@ -90,10 +89,25 @@ class HypArgs:
             raise DomainError(f"z must lie in [0, 1], got z={z}")
         if w is not None and not (0.0 <= w <= 1.0 and abs(z - 1.0 + w) <= 1e-14):
             raise DomainError(f"w={w} is not the complement of z={z}")
+        set_a, set_b, set_c, set_z, set_w = _HYP_ARGS_SLOTS
+        set_a(self, a)
+        set_b(self, b)
+        set_c(self, c)
+        set_z(self, z)
+        set_w(self, w)
 
     @property
     def convergent_at_one(self) -> bool:
         return _gap_at_one(self.a, self.b, self.c) > 0.0
+
+
+def _slot_setters(cls: type) -> tuple:
+    """Each field slot's __set__ of a frozen slots dataclass, in field order: an explicit
+    __init__ stores through them, cheaper than the generated one's object.__setattr__."""
+    return tuple(getattr(cls, field.name).__set__ for field in fields(cls))
+
+
+_HYP_ARGS_SLOTS = _slot_setters(HypArgs)
 
 
 def _integer_gap(a: float, b: float, c: float) -> int | None:
@@ -131,6 +145,12 @@ class EvalResult:
     err_estimate: float
     method: str
 
+    def __init__(self, value: float, err_estimate: float, method: str) -> None:
+        set_value, set_err_estimate, set_method = _EVAL_RESULT_SLOTS
+        set_value(self, value)
+        set_err_estimate(self, err_estimate)
+        set_method(self, method)
+
     def __add__(self, other: EvalResult) -> EvalResult:
         return EvalResult(self.value + other.value, self.err_estimate + other.err_estimate,
                           _joined_route(self, other))
@@ -143,12 +163,16 @@ class EvalResult:
         return EvalResult(scale * self.value, abs(scale) * self.err_estimate, self.method)
 
 
-def _joined_route(a: EvalResult, b: EvalResult, *rest: EvalResult) -> str:
-    """The distinct routes of the results, sorted and +-joined."""
-    if a.method == b.method and not rest:
-        return a.method
-    return "+".join(sorted({route for result in (a, b, *rest)
-                            for route in result.method.split("+")}))
+_EVAL_RESULT_SLOTS = _slot_setters(EvalResult)
+
+
+def _joined_route(first: EvalResult, *rest: EvalResult) -> str:
+    """The distinct routes of the results, sorted and +-joined; a route all share as it is."""
+    route = first.method
+    for result in rest:
+        if result.method != route:
+            return "+".join(sorted({tag for x in (first, *rest) for tag in x.method.split("+")}))
+    return route
 
 
 def ln_gamma(x: float) -> float:
@@ -474,8 +498,9 @@ def _connection_2f1(a: float, b: float, m: int, w: float) -> tuple[float, float]
     non-positive integers.
     """
     if m < 0:
-        if _pole(a + m) or _pole(b + m):
-            value, err = _series_2f1(b + m, a + m, a + b + m, 1.0 - w)
+        if _pole(a + m) or _pole(b + m):  # c from the pole: (a + b) + m may round to 0
+            c = a + (b + m) if _pole(b + m) else b + (a + m)
+            value, err = _series_2f1(b + m, a + m, c, 1.0 - w)
         else:
             value, err = _connection_2f1(b + m, a + m, -m, w)
         scale = w ** m if m * math.log(w) < 709.0 else math.inf
@@ -641,12 +666,15 @@ def _route_above_switch(a: float, b: float, c: float, z: float) -> tuple[str, in
     gauss_2f1_with_derivative share. The direct series when it terminates (a
     or b a non-positive integer) or when so large a gap makes its terms fall
     off within fewer terms than the gap (the log case's finite sum has m, and
-    DLMF 15.8.4's second series runs long); else the connection formula."""
+    DLMF 15.8.4's second series runs long); else the connection formula. An
+    integer gap below -MAX_TERMS, whose log case sums -m terms, raises DomainError."""
     m = _integer_gap(a, b, c)
     gap = c - a - b if m is None else m
     if _pole(a) or _pole(b) or (
             gap > 1 and max(_series_terms(a, b, c, z), _series_terms(a, b, c, 1.0)) < gap):
         return METHOD_SERIES, m
+    if m is not None and m < -MAX_TERMS:
+        raise DomainError(f"2F1 gap {c - a - b:g} lies below -{MAX_TERMS} for a={a}, b={b}, c={c}")
     return METHOD_CONNECTION, m
 
 
@@ -660,9 +688,9 @@ def gauss_2f1(args: HypArgs) -> EvalResult:
     15.8.4. An estimate past 1e-13 relative is rescued by the Euler-integral
     quadrature where an Euler ordering is valid and its estimate is smaller.
     Exactly at z = 1 (w = 0) the gamma-ratio closed form, which requires
-    c - a - b > 0. A series past MAX_TERMS terms, or a result without a
-    finite error estimate, raises DomainError, a value past the double range
-    DivergenceError.
+    c - a - b > 0. A series past MAX_TERMS terms, an integer gap below
+    -MAX_TERMS above z = 0.9, or a result without a finite error estimate
+    raises DomainError, a value past the double range DivergenceError.
     """
     a, b, c, z = args.a, args.b, args.c, args.z
     if z <= SERIES_SWITCH:

@@ -1,6 +1,7 @@
 """Command-line surface: formats, determinism, and the exit-code contract."""
 
 import csv
+import io
 import json
 import re
 import subprocess
@@ -10,8 +11,10 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from pqelliptic import cli
 from pqelliptic.claims import CLAIMS, DEFAULT_GRID, run_claim
 from pqelliptic.cli import main
+from pqelliptic.special import DomainError
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -28,6 +31,16 @@ def invoke(runner, *args):
 def read_rows(path):
     with path.open(newline="") as f:
         return list(csv.DictReader(f))
+
+
+def assert_csv_writer_bytes(path):
+    """The file is what csv.writer writes for its parsed rows."""
+    with path.open(newline="") as f:
+        rows = list(csv.reader(f))
+    expected = io.StringIO(newline="")
+    csv.writer(expected, lineterminator="\n").writerows(rows)
+    assert path.read_bytes() == expected.getvalue().encode()
+    return rows
 
 
 class TestEval:
@@ -96,6 +109,27 @@ class TestScan:
         assert len(rows) == 1
         assert rows[0]["value"] == "nan"
         assert rows[0]["note"] != ""
+
+    def test_rows_are_the_bytes_csv_writes(self, runner, tmp_path, monkeypatch):
+        # Rows without a note are joined as plain lines; a note goes through csv,
+        # which quotes its comma and doubles its quotes.
+        note = 'bad, "quoted" note'
+        evaluate = cli._EVALUATORS["delta"]
+
+        def refusing(params, r):
+            if r == 0.5:
+                raise DomainError(note)
+            return evaluate(params, r)
+
+        monkeypatch.setitem(cli._EVALUATORS, "delta", refusing)
+        out = tmp_path / "scan.csv"
+        invoke(runner, "scan", "--grid", "p:1.5:3:2,q:2:3:2,r:0.1:0.9:5",
+               "--quantity", "delta", "--out", str(out))
+        rows = assert_csv_writer_bytes(out)
+        assert len(rows) == 1 + 2 * 2 * 5
+        refused = [row for row in rows[1:] if row[-1]]
+        assert [row[2:] for row in refused] == [["0.5", "nan", "nan", "", note]] * 4
+        assert '"bad, ""quoted"" note"' in out.read_text()
 
     def test_byte_identical_reruns(self, runner, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -355,6 +389,13 @@ class TestRegions:
         assert rows["2"]["admissible"] == "true"
         assert rows["1.2"]["cond1"] == "false"
         assert rows["1.2"]["admissible"] == "false"
+
+    def test_rows_are_the_bytes_csv_writes(self, runner, tmp_path):
+        out = tmp_path / "regions.csv"
+        invoke(runner, "regions", "--grid", "p:1.05:4:12,q:1.05:4:12", "--out", str(out))
+        rows = assert_csv_writer_bytes(out)
+        assert len(rows) == 1 + 12 * 12
+        assert {row[2] for row in rows[1:]} == {row[4] for row in rows[1:]} == {"true", "false"}
 
     def test_axis_ends_exactly_at_hi(self, runner, tmp_path):
         # 1.05 + 3 * (2.95 / 3) rounds to 4.000000000000001

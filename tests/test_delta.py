@@ -40,7 +40,7 @@ from pqelliptic import (
     product_gap_in_bounds,
     sharp_linear_bounds,
 )
-from pqelliptic import delta_analysis, gentrig
+from pqelliptic import delta_analysis, elliptic, gentrig
 from pqelliptic.delta_analysis import delta_prime_result, delta_result, delta_second_result
 
 P22 = PQParams(2.0, 2.0)
@@ -166,6 +166,26 @@ class TestDelta:
         for result in (delta_result, delta_prime_result, delta_second_result):
             assert result(P22, 0.2).method == "connection+series"
             assert result(P22, 0.5).method == "series"
+
+    @pytest.mark.parametrize("r", [1e-3, 0.2, 0.5, 0.93, 0.9999])
+    def test_one_result_has_the_bits_of_the_operator_expression(self, r):
+        # K_pq, E_pq, delta and delta_prime compose floats as EvalResult's
+        # scale *, + and - do; the operator expressions are the reference.
+        params = PQParams(2.5, 3.0)
+        x, w = gentrig._power_pair(params.p, r)
+        half_pi = 0.5 * params.pi_pq
+        for first_kind, result in ((True, K_pq), (False, E_pq)):
+            expected = half_pi * gauss_2f1(elliptic._complete_args(params, first_kind, x, w))
+            assert result(params, r) == expected
+        a, b = params.inv_q, params.inv_p
+        at_zero = delta_analysis._kernel_at_zero(a, b, params.pi_pq)
+        assert delta_result(params, r) == (
+            at_zero * gauss_2f1(delta_analysis._kernel_args(a, b, x, w))
+            - at_zero * gauss_2f1(delta_analysis._kernel_args(a, b, w, x)))
+        a1, b1, c1 = delta_analysis._derivative_front(params)
+        scale = DeltaConstants.for_params(params).eta * r ** (params.p - 1.0)
+        assert delta_prime_result(params, r) == scale * (
+            gauss_2f1(HypArgs(a1, b1, c1, x, w)) + gauss_2f1(HypArgs(a1, b1, c1, w, x)))
 
     def test_subnormal_power_reaches_the_zero_limit(self):
         # r**p = 1e-320 is subnormal; the kernel at 1 - r**p runs on its complement.

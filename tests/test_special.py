@@ -508,6 +508,13 @@ class TestEveryGap:
         assert res.method == "connection"
         with mpmath.workdps(40):
             _assert_within_estimate(res, 1 / mpmath.mpf(w))
+        # c = a below b's rounding: F = w^-b, and (a + b) + m rounds to 0 (raised
+        # ZeroDivisionError); c is formed from the pole, a + (b + m).
+        for a, b in ((1e-17, 3.0), (1e-15, 100.0)):
+            res = gauss_2f1(HypArgs(a, b, a, 0.95, 0.05))
+            assert res.method == "connection"
+            with mpmath.workdps(40):
+                _assert_within_estimate(res, mpmath.mpf(0.05) ** -b)
         # Gap 0.25 and no Euler ordering: DLMF 15.8.4.
         args = HypArgs(-0.5, 0.5, 0.25, 1.0 - 1e-12, 1e-12)
         res = gauss_2f1(args)
@@ -553,6 +560,19 @@ class TestEveryGap:
         res = gauss_2f1(args)
         assert res.method == "euler_quadrature"
         _assert_within_estimate(res, _exact_above_switch(args, c=lambda a, b: a + b - 1))
+
+    @pytest.mark.parametrize("args", [
+        # Gap -1e15 - 0.25, within _integer_gap's tolerance of -1e15: the log
+        # case would sum 1e15 finite-part terms (ran for minutes).
+        HypArgs(1e15 + 0.5, 0.25, 0.5, 1.0 - 1e-3, 1e-3),
+        # Gap -1e200 with b + m = 0: the polynomial's c = a + b + m cancels to 0
+        # (raised ZeroDivisionError).
+        HypArgs(0.5, 1e200, 3.0, 0.999, 1e-3),
+    ])
+    def test_gap_below_the_term_cap_is_refused(self, args):
+        for evaluate in (gauss_2f1, gauss_2f1_with_derivative):
+            with pytest.raises(DomainError, match="lies below"):
+                evaluate(args)
 
     def test_public_family_sweep(self):
         # Every family with a finite value is answered, within 1e-13 or its
@@ -803,6 +823,36 @@ class TestEvalResultArithmetic:
         args = HypArgs(0.5, 0.5, 1.0, 0.5)
         assert not hasattr(args, "__dict__")
         assert dataclasses.replace(args, z=0.25) == HypArgs(0.5, 0.5, 1.0, 0.25)
+
+    @pytest.mark.parametrize("build, field", [
+        (lambda: HypArgs(a=0.5, b=0.25, c=1.5, z=0.75, w=0.25), "z"),
+        (lambda: special.EvalResult(value=1.5, err_estimate=1e-16, method="series"), "value"),
+        (lambda: PQParams(p=2.5, q=3.0), "pi_pq"),
+    ])
+    def test_records_keep_the_frozen_dataclass_contract(self, build, field):
+        record, twin = build(), build()
+        assert record.__dataclass_params__.frozen and not hasattr(record, "__dict__")
+        assert record == twin and record is not twin and hash(record) == hash(twin)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, field, 0.5)
+        assert record == twin
+        shown = ", ".join(f"{f.name}={getattr(record, f.name)!r}"
+                          for f in dataclasses.fields(record))
+        assert repr(record) == f"{type(record).__name__}({shown})"
+
+    def test_arguments_validate_on_every_construction(self):
+        args = HypArgs(a=0.5, b=0.25, c=1.5, z=0.75)
+        assert args.w is None
+        assert args == HypArgs(0.5, 0.25, 1.5, 0.75)
+        with pytest.raises(DomainError):
+            dataclasses.replace(args, z=1.5)
+        with pytest.raises(DomainError):
+            dataclasses.replace(args, c=-2.0)
+        params = PQParams(2.5, 3.0)
+        assert (params.inv_p, params.inv_q) == (1.0 / 2.5, 1.0 / 3.0)
+        assert dataclasses.replace(params, q=4.0) == PQParams(2.5, 4.0)
+        with pytest.raises(DomainError):
+            dataclasses.replace(params, p=1.0)
 
     def test_route_tags_join_their_distinct_parts(self):
         def tagged(method):

@@ -10,6 +10,7 @@ are byte-identical.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import math
 import random
@@ -21,6 +22,7 @@ from . import elliptic as el
 from .gentrig import PQParams, _power_pair, arcsin_pq, pi_pq, sin_pq
 from .special import (
     DomainError,
+    HypArgs,
     contiguous_residual,
     gauss_2f1,
     gauss_value_at_one,
@@ -144,12 +146,32 @@ def _skip_notes(who: str, skipped: list[str], why: str) -> list[str]:
             if skipped else [])
 
 
+#: The running build_report's grid values, keyed by (function, p, q, r): None outside
+#: a report, so run_claim alone computes every value, and never shared between threads.
+_RUN_VALUES: contextvars.ContextVar[dict | None] = contextvars.ContextVar("run_values")
+
+
+def _shared(fn, params: PQParams, r: float | None):
+    """fn(params, r), read from the running report's store, which keeps it on first use."""
+    store = _RUN_VALUES.get(None)
+    if store is None:
+        return fn(params, r)
+    if (value := store.get(key := (fn, params.p, params.q, r))) is None:
+        value = store[key] = fn(params, r)
+    return value
+
+
+def _admissible(params: PQParams, r: None) -> bool:
+    return d.admissible(params.p, params.q)
+
+
 def _grid_params(grid: ScanGrid,
                  admissible_only: bool = False) -> Iterator[tuple[float, float, PQParams]]:
     """Walk the (p, q) grid in order, yielding (p, q, PQParams(p, q))."""
     for p, q in grid.pq_points():
-        if not admissible_only or d.admissible(p, q):
-            yield p, q, PQParams(p, q)
+        params = PQParams(p, q)
+        if not admissible_only or _shared(_admissible, params, None):
+            yield p, q, params
 
 
 # --------------------------------------------------------------------------
@@ -234,11 +256,10 @@ def _claim_euler_coherence(grid: ScanGrid, tol: float, result: ClaimResult) -> l
     for p, q, params in _grid_params(grid):
         for r in grid.r.points():
             z = r ** p
-            first_kind = el._complete_args(params, True, z)
-            second_kind = el._complete_args(params, False, z)
+            e = el._complete_args(params, False, z)
             # a and b swapped (2F1 is symmetric in them): the oracle needs c > b > 0
-            second_kind = replace(second_kind, a=second_kind.b, b=second_kind.a)
-            for tag, args in (("K", first_kind), ("E", second_kind)):
+            for tag, args in (("K", el._complete_args(params, True, z)),
+                              ("E", HypArgs(e.b, e.a, e.c, z))):
                 try:
                     oracle = el.euler_integral_oracle(args).value
                 except DomainError:
@@ -317,7 +338,7 @@ def _claim_delta_antisymmetry(grid: ScanGrid, tol: float, result: ClaimResult) -
     for p, q, params in _grid_params(grid):
         for r in grid.r.points():
             comp = el.Modulus.for_params(params, r).r_comp
-            res = abs(d.delta(params, comp) + d.delta(params, r))
+            res = abs(d.delta(params, comp) + _shared(d.delta, params, r))
             result.residual(res, tol, {"p": p, "q": q, "r": r})
 
 
@@ -333,8 +354,8 @@ def _claim_delta_routes(grid: ScanGrid, tol: float, result: ClaimResult) -> list
             if min(_power_pair(p, r)) < ROUTES_MIN_X:
                 skipped.append(f"p={p:g}, q={q:g}, r={r:g}")
                 continue
-            direct = d.delta_via_elliptic(params, r)
-            result.residual(abs(d.delta(params, r) - direct), tol, {"p": p, "q": q, "r": r})
+            gap = d.delta_via_elliptic(params, r) - _shared(d.delta, params, r)
+            result.residual(abs(gap), tol, {"p": p, "q": q, "r": r})
     return _skip_notes("direct route", skipped, f"with r**p or 1 - r**p < {ROUTES_MIN_X:g}, "
                        "where its subtraction loses digits")
 
@@ -369,11 +390,10 @@ def _claim_derivatives(grid: ScanGrid, tol: float, result: ClaimResult) -> list[
             result.residual(rel, tol, {"p": p, "q": q, "r": r, "order": 1})
 
             fd_curv = (d.delta_prime(params, r + h2) - d.delta_prime(params, r - h2)) / (2.0 * h2)
-            curv = d.delta_second(params, r)
-            rel2 = abs(curv - fd_curv) / max(abs(curv), 1e-30)
+            curv, variant = _shared(d._curvature, params, r)
+            rel2 = abs(curv.value - fd_curv) / max(abs(curv.value), 1e-30)
             result.residual(rel2, 10.0 * tol, {"p": p, "q": q, "r": r, "order": 2})
 
-            variant = d.delta_second_sign_variant(params, r)
             variant_worst = max(variant_worst,
                                 abs(variant - fd_curv) / max(abs(fd_curv), 1e-30))
     notes = [
@@ -392,7 +412,7 @@ def _claim_derivatives(grid: ScanGrid, tol: float, result: ClaimResult) -> list[
 
 def _claim_thm13_monotone(grid: ScanGrid, tol: None, result: ClaimResult) -> list[str] | None:
     for p, q, params in _grid_params(grid, admissible_only=True):
-        values = [d.delta(params, r) for r in grid.r.points()]
+        values = [_shared(d.delta, params, r) for r in grid.r.points()]
         for i in range(len(values) - 1):
             margin = values[i + 1] - values[i]
             result.margin(margin, {"p": p, "q": q, "r": grid.r.points()[i + 1]})
@@ -401,7 +421,7 @@ def _claim_thm13_monotone(grid: ScanGrid, tol: None, result: ClaimResult) -> lis
 def _claim_thm13_convex(grid: ScanGrid, tol: None, result: ClaimResult) -> list[str] | None:
     for p, q, params in _grid_params(grid, admissible_only=True):
         for r in grid.r.points():
-            result.margin(d.delta_second(params, r), {"p": p, "q": q, "r": r})
+            result.margin(_shared(d._curvature, params, r)[0].value, {"p": p, "q": q, "r": r})
 
 
 def _claim_thm13_bounds(grid: ScanGrid, tol: None, result: ClaimResult) -> list[str] | None:
@@ -409,7 +429,7 @@ def _claim_thm13_bounds(grid: ScanGrid, tol: None, result: ClaimResult) -> list[
     for p, q, params in _grid_params(grid, admissible_only=True):
         constants = d.DeltaConstants.for_params(params)
         for r in grid.r.points():
-            value = d.delta(params, r)
+            value = _shared(d.delta, params, r)
             lower, upper = d.sharp_linear_bounds(params, r)
             result.margin(value - lower, {"p": p, "q": q, "r": r, "side": "lower"})
             result.margin(upper - value, {"p": p, "q": q, "r": r, "side": "upper"})
@@ -518,8 +538,12 @@ def run_claim(claim_id: str, grid: ScanGrid, tol: float | None = None) -> ClaimR
 
 
 def build_report(claim_ids: list[str], grid: ScanGrid, tol: float | None = None) -> dict:
-    """Run the listed claims in order and assemble the verification report."""
-    results = [run_claim(cid, grid, tol) for cid in claim_ids]
+    """Run the listed claims in order, sharing one store of grid values, and assemble the report."""
+    token = _RUN_VALUES.set({})
+    try:
+        results = [run_claim(cid, grid, tol) for cid in claim_ids]
+    finally:
+        _RUN_VALUES.reset(token)
     return {
         "grid": grid.as_dict(),
         "tolerance_override": tol,

@@ -206,11 +206,10 @@ def delta_prime(params: PQParams, r: float) -> float:
     return delta_prime_result(params, r).value
 
 
-def _curvature(params: PQParams, r: float, sign: float) -> EvalResult:
-    """eta * ((p-1) r**(p-2) [F1(x) + sign F1(y)] + p r**(2p-2) (a1 b1/c1)
-    [F2(x) - sign F2(y)]) with x = r**p, y = 1 - x: the curvature at sign = 1,
-    its transposed sign pattern at sign = -1. F2 = (c1/(a1 b1)) F1' comes
-    from the pass that gives F1; the estimate sums the four terms' errors."""
+def _curvature(params: PQParams, r: float) -> tuple[EvalResult, float]:
+    """eta * ((p-1) r**(p-2) [F1(x) + F1(y)] + p r**(2p-2) (a1 b1/c1) [F2(x) - F2(y)]),
+    x = r**p, y = 1 - x, F2 = (c1/(a1 b1)) F1' from F1's pass; its estimate sums the four
+    terms' errors. Also its transposed sign pattern's value: F1 terms subtracted, F2 added."""
     if not 0.0 < r < 1.0:
         raise DomainError(f"curvature requires r in (0, 1), got r={r}")
     a1, b1, c1 = _derivative_front(params)
@@ -221,15 +220,16 @@ def _curvature(params: PQParams, r: float, sign: float) -> EvalResult:
     front = (p - 1.0) * r ** (p - 2.0)
     back = p * r ** (2.0 * p - 2.0) * (a1 * b1 / c1)
     eta = DeltaConstants.for_params(params).eta
-    value = eta * (front * (f1x.value + sign * f1y.value)
-                   + back * (to_f2 * d1x.value - sign * (to_f2 * d1y.value)))
+    f2x, f2y = to_f2 * d1x.value, to_f2 * d1y.value
     err = eta * (front * (f1x.err_estimate + f1y.err_estimate)
                  + back * (to_f2 * d1x.err_estimate + to_f2 * d1y.err_estimate))
-    return EvalResult(value, err, _joined_route(f1x, f1y, d1x, d1y))
+    return (EvalResult(eta * (front * (f1x.value + f1y.value) + back * (f2x - f2y)), err,
+                       _joined_route(f1x, f1y, d1x, d1y)),
+            eta * (front * (f1x.value - f1y.value) + back * (f2x + f2y)))
 
 
 def delta_second_result(params: PQParams, r: float) -> EvalResult:
-    return _curvature(params, r, 1.0)
+    return _curvature(params, r)[0]
 
 
 def delta_second(params: PQParams, r: float) -> float:
@@ -251,7 +251,7 @@ def delta_second_sign_variant(params: PQParams, r: float) -> float:
     points; the finite-difference probe in the verification report records
     which form it supports.
     """
-    return _curvature(params, r, -1.0).value
+    return _curvature(params, r)[1]
 
 
 def epsilon(p, q):

@@ -551,6 +551,13 @@ def _connection_2f1(a: float, b: float, m: int, w: float) -> tuple[float, float]
     return total, abs(lead) * tail + rounding
 
 
+def _reflect(d: Fraction, num: list[float]) -> float:
+    """1/Gamma(d) = Gamma(1 - d) sin(pi d) / pi, d exact: puts 1 - d in num, returns the sine."""
+    n = round(d)
+    num.append(float(1 - d))
+    return (-1.0) ** n * math.sin(math.pi * float(d - n)) / math.pi
+
+
 def _gap_connection(a: float, b: float, c: float, w: float) -> tuple[float, float]:
     """2F1(a, b; c; 1 - w), 0 < w <= 1/2, for a gap g = c - a - b off the
     integers: A F(a, b; 1 - g; w) + B w^g F(c - a, c - b; 1 + g; w) (DLMF
@@ -561,15 +568,12 @@ def _gap_connection(a: float, b: float, c: float, w: float) -> tuple[float, floa
     from an integer. Needs a and b off the non-positive integers.
     """
     g = c - a - b
-    # 1/Gamma(d), d = c - x exactly, below 1 by reflection, Gamma(1 - d) sin(pi d) / pi:
-    # 0 at a pole, where the Euler transform terminates, and accurate beside one.
+    # 1/Gamma(c - x) below 1 by reflection: 0 at a pole, where the Euler transform terminates.
     num, den, scale = [c, g], [], 1.0
     for x in (a, b):
         diff = Fraction(c) - Fraction(x)
         if diff < 1:
-            n = round(diff)
-            scale *= (-1.0) ** n * math.sin(math.pi * float(diff - n)) / math.pi
-            num.append(float(1 - diff))
+            scale *= _reflect(diff, num)
         else:
             den.append(float(diff))
     first, first_size = _gamma_ratio(tuple(num), tuple(den))
@@ -697,8 +701,8 @@ def gauss_2f1(args: HypArgs) -> EvalResult:
         return EvalResult(*_series_2f1(a, b, c, z), METHOD_SERIES)
     w = 1.0 - z if args.w is None else args.w
     if w == 0.0:
-        value = gauss_value_at_one(a, b, c)
-        return EvalResult(value, 8e-16 * abs(value), METHOD_GAUSS_CLOSED_FORM)
+        value, size = _gauss_sum(a, b, c)
+        return EvalResult(value, 16.0 * _EPS * size * abs(value), METHOD_GAUSS_CLOSED_FORM)
     route, m = _route_above_switch(a, b, c, z)
     if route == METHOD_SERIES:
         result = EvalResult(*_series_2f1(a, b, c, z), METHOD_SERIES)
@@ -721,23 +725,34 @@ def gauss_2f1(args: HypArgs) -> EvalResult:
 
 def gauss_value_at_one(a: float, b: float, c: float) -> float:
     """2F1(a, b; c; 1) by Gauss's sum Gamma(c) Gamma(c-a-b) / (Gamma(c-a) Gamma(c-b))
-    (DLMF 15.4.20): signed, 0 at a pole of Gamma(c-a) or Gamma(c-b). Requires
-    c - a - b > 0, read as HypArgs.convergent_at_one reads it, and c off the
+    (DLMF 15.4.20): signed, 0 at a pole of Gamma(c-a) or Gamma(c-b), read exactly beside
+    one. Requires c - a - b > 0, read as HypArgs.convergent_at_one reads it, and c off the
     non-positive integers; a = 0 or b = 0 gives 1 as every term past n = 0 vanishes.
     """
+    return _gauss_sum(a, b, c)[0]
+
+
+def _gauss_sum(a: float, b: float, c: float) -> tuple[float, float]:
+    """gauss_value_at_one and a bound on its relative rounding in ulps (0 if exact)."""
     if a == 0.0 or b == 0.0:
-        return 1.0
+        return 1.0, 0.0
     gap = _gap_at_one(a, b, c)
     if gap <= 0.0:
         raise DivergenceError(f"2F1 diverges at z=1 when c-a-b <= 0 (got c-a-b={gap})")
     if _pole(c):
         raise DomainError(f"c must not be a non-positive integer, got c={c}")
-    if _pole(c - a) or _pole(c - b):
-        return 0.0  # 1 / Gamma vanishes at its poles; lgamma raises there
-    value = _gamma_ratio((c, c - a - b), (c - a, c - b))[0]
+    num, den, scale = [c, c - a - b], [], 1.0
+    for x in (a, b):
+        if (n := _integer_gap(x, 0.0, c)) is not None and n <= 0:  # at or beside a pole
+            scale *= _reflect(Fraction(c) - Fraction(x), num)
+        else:
+            den.append(c - x)
+    if scale == 0.0:
+        return 0.0, 0.0  # 1 / Gamma vanishes at its poles; lgamma raises there
+    value, size = _gamma_ratio(tuple(num), tuple(den))
     if math.isinf(value):
         raise DivergenceError(f"2F1 exceeds the double range at z=1 for a={a}, b={b}, c={c}")
-    return value
+    return scale * value, size
 
 
 def gauss_2f1_with_derivative(args: HypArgs) -> tuple[EvalResult, EvalResult]:

@@ -6,13 +6,15 @@ import json
 import re
 import subprocess
 import sys
+import threading
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from pqelliptic import cli
-from pqelliptic.claims import CLAIMS, DEFAULT_GRID, run_claim
+from pqelliptic import cli, delta_analysis
+from pqelliptic.claims import CLAIMS, DEFAULT_GRID, AxisRange, ScanGrid, build_report, run_claim
 from pqelliptic.cli import main
 from pqelliptic.special import DomainError
 
@@ -375,6 +377,71 @@ class TestVerify:
         assert claim["fail_count"] == len(claim["failures"]) > 0
         # every failing sample carries its coordinates
         assert all({"a", "b", "r"} <= set(entry) for entry in claim["failures"])
+
+
+def _sub_grid(r: AxisRange) -> ScanGrid:
+    # 7 of its 36 (p, q) pairs are admissible.
+    return ScanGrid(AxisRange(1.5, 4.0, 6), AxisRange(1.5, 4.0, 6), r)
+
+
+def _counting_delta(monkeypatch) -> Counter:
+    """Count delta_result calls per thread."""
+    calls: Counter = Counter()
+    original = delta_analysis.delta_result
+
+    def counted(params, r):
+        calls[threading.get_ident()] += 1
+        return original(params, r)
+
+    monkeypatch.setattr(delta_analysis, "delta_result", counted)
+    return calls
+
+
+class TestSharedGridValues:
+    """One build_report shares its grid values between claims, and no value
+    outlives the report or crosses to another thread's."""
+
+    GRID = _sub_grid(AxisRange(0.05, 0.95, 7))
+
+    def test_each_entry_equals_its_claim_run_alone(self, monkeypatch):
+        calls = _counting_delta(monkeypatch)
+        report = build_report(list(CLAIMS), self.GRID)
+        shared = sum(calls.values())
+        calls.clear()
+        alone = [run_claim(cid, self.GRID).as_dict() for cid in CLAIMS]
+        assert report["claims"] == alone
+        assert shared < sum(calls.values())  # the report reads some values twice
+
+    def test_the_store_does_not_outlive_its_report(self, monkeypatch):
+        calls = _counting_delta(monkeypatch)
+        build_report(list(CLAIMS), self.GRID)
+        first = sum(calls.values())
+        calls.clear()
+        build_report(list(CLAIMS), self.GRID)
+        assert sum(calls.values()) == first
+
+    def test_concurrent_reports_equal_reports_run_alone(self, monkeypatch):
+        # Four of the first grid's r points are the second's: a store shared by
+        # both reports, or ended by one, would change the other's delta calls.
+        grids = (self.GRID, _sub_grid(AxisRange(0.05, 0.95, 4)))
+        calls = _counting_delta(monkeypatch)
+        alone = []
+        for grid in grids:
+            calls.clear()
+            alone.append((build_report(list(CLAIMS), grid), sum(calls.values())))
+        calls.clear()
+        barrier, together = threading.Barrier(len(grids)), [None] * len(grids)
+
+        def run(i):
+            barrier.wait()
+            together[i] = (build_report(list(CLAIMS), grids[i]), calls[threading.get_ident()])
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(grids))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert together == alone
 
 
 class TestRegions:

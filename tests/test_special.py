@@ -899,6 +899,33 @@ class TestGaussValueAtOne:
         # Gamma(c - a) = Gamma(-1) is a pole, where 1 / Gamma vanishes.
         assert gauss_value_at_one(2.0, -2.5, 1.0) == 0.0
 
+    def test_difference_rounding_onto_a_pole_is_not_a_pole(self):
+        # c - b is -1 in floating point, -1 - 2**-54 exactly: Gamma(c - b) is finite.
+        a, c = -2.4086215710799745, 0.05285407241974721
+        b = c + 1.0
+        assert c - b == -1.0
+        result = gauss_2f1(HypArgs(a, b, c, 1.0))
+        assert result.value == gauss_value_at_one(a, b, c)
+        with mpmath.workdps(40):
+            exact = mpmath.hyp2f1(mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(c), 1)
+        assert float(exact) == pytest.approx(6.9957e-16, rel=1e-4)
+        assert float(abs(mpmath.mpf(result.value) - exact)) <= result.err_estimate
+
+    def test_estimate_bounds_the_error(self):
+        # The gamma ratio's rounding grows with its log-gammas, past 8e-16 relative
+        # on about half of these samples.
+        rng = random.Random(20261021)
+        checked = 0
+        while checked < 100:
+            a, b, c = rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0), rng.uniform(0.01, 6.0)
+            if c - a - b < 0.05:
+                continue
+            result = gauss_2f1(HypArgs(a, b, c, 1.0))
+            with mpmath.workdps(40):
+                exact = mpmath.hyp2f1(mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(c), 1)
+            assert float(abs(mpmath.mpf(result.value) - exact)) <= result.err_estimate, (a, b, c)
+            checked += 1
+
     def test_c_at_a_pole_is_refused(self):
         # c - a - b = 1 converges, but Gamma(c) = Gamma(-1) is a pole.
         with pytest.raises(DomainError, match="non-positive integer"):

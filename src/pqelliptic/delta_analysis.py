@@ -23,9 +23,9 @@ from .special import (
     DomainError,
     EvalResult,
     HypArgs,
+    _gauss_2f1_with_derivative,
     _joined_route,
     gauss_2f1,
-    gauss_2f1_with_derivative,
 )
 
 
@@ -147,7 +147,7 @@ def delta_result(params: PQParams, r: float) -> EvalResult:
     # at_zero * kx - at_zero * kw: the floats of EvalResult's operators, in one result.
     return EvalResult(at_zero * kx.value - at_zero * kw.value,
                       abs(at_zero) * kx.err_estimate + abs(at_zero) * kw.err_estimate,
-                      _joined_route(kx, kw))
+                      _joined_route(kx.method, kw.method))
 
 
 def delta(params: PQParams, r: float) -> float:
@@ -193,7 +193,8 @@ def delta_prime_result(params: PQParams, r: float) -> EvalResult:
     fx, fw = gauss_2f1(HypArgs(a1, b1, c1, x, w)), gauss_2f1(HypArgs(a1, b1, c1, w, x))
     # scale * (fx + fw): the floats of EvalResult's operators, in one result.
     return EvalResult(scale * (fx.value + fw.value),
-                      abs(scale) * (fx.err_estimate + fw.err_estimate), _joined_route(fx, fw))
+                      abs(scale) * (fx.err_estimate + fw.err_estimate),
+                      _joined_route(fx.method, fw.method))
 
 
 def delta_prime(params: PQParams, r: float) -> float:
@@ -214,18 +215,17 @@ def _curvature(params: PQParams, r: float) -> tuple[EvalResult, float]:
         raise DomainError(f"curvature requires r in (0, 1), got r={r}")
     a1, b1, c1 = _derivative_front(params)
     x, y = _power_pair(params.p, r)
-    f1x, d1x = gauss_2f1_with_derivative(HypArgs(a1, b1, c1, x, y))
-    f1y, d1y = gauss_2f1_with_derivative(HypArgs(a1, b1, c1, y, x))
+    (f1x, err1x, route1x), (d1x, errd1x, routed1x) = _gauss_2f1_with_derivative(a1, b1, c1, x, y)
+    (f1y, err1y, route1y), (d1y, errd1y, routed1y) = _gauss_2f1_with_derivative(a1, b1, c1, y, x)
     p, to_f2 = params.p, c1 / (a1 * b1)
     front = (p - 1.0) * r ** (p - 2.0)
     back = p * r ** (2.0 * p - 2.0) * (a1 * b1 / c1)
     eta = DeltaConstants.for_params(params).eta
-    f2x, f2y = to_f2 * d1x.value, to_f2 * d1y.value
-    err = eta * (front * (f1x.err_estimate + f1y.err_estimate)
-                 + back * (to_f2 * d1x.err_estimate + to_f2 * d1y.err_estimate))
-    return (EvalResult(eta * (front * (f1x.value + f1y.value) + back * (f2x - f2y)), err,
-                       _joined_route(f1x, f1y, d1x, d1y)),
-            eta * (front * (f1x.value - f1y.value) + back * (f2x + f2y)))
+    f2x, f2y = to_f2 * d1x, to_f2 * d1y
+    err = eta * (front * (err1x + err1y) + back * (to_f2 * errd1x + to_f2 * errd1y))
+    return (EvalResult(eta * (front * (f1x + f1y) + back * (f2x - f2y)), err,
+                       _joined_route(route1x, route1y, routed1x, routed1y)),
+            eta * (front * (f1x - f1y) + back * (f2x + f2y)))
 
 
 def delta_second_result(params: PQParams, r: float) -> EvalResult:

@@ -153,11 +153,11 @@ class EvalResult:
 
     def __add__(self, other: EvalResult) -> EvalResult:
         return EvalResult(self.value + other.value, self.err_estimate + other.err_estimate,
-                          _joined_route(self, other))
+                          _joined_route(self.method, other.method))
 
     def __sub__(self, other: EvalResult) -> EvalResult:
         return EvalResult(self.value - other.value, self.err_estimate + other.err_estimate,
-                          _joined_route(self, other))
+                          _joined_route(self.method, other.method))
 
     def __rmul__(self, scale: float) -> EvalResult:
         return EvalResult(scale * self.value, abs(scale) * self.err_estimate, self.method)
@@ -166,13 +166,12 @@ class EvalResult:
 _EVAL_RESULT_SLOTS = _slot_setters(EvalResult)
 
 
-def _joined_route(first: EvalResult, *rest: EvalResult) -> str:
-    """The distinct routes of the results, sorted and +-joined; a route all share as it is."""
-    route = first.method
-    for result in rest:
-        if result.method != route:
-            return "+".join(sorted({tag for x in (first, *rest) for tag in x.method.split("+")}))
-    return route
+def _joined_route(first: str, *rest: str) -> str:
+    """The distinct tags of the routes, sorted and +-joined; a route all share as it is."""
+    for route in rest:
+        if route != first:
+            return "+".join(sorted({tag for x in (first, *rest) for tag in x.split("+")}))
+    return first
 
 
 def ln_gamma(x: float) -> float:
@@ -518,15 +517,18 @@ def _connection_2f1(a: float, b: float, m: int, w: float) -> tuple[float, float]
     # The log part enters w^m times the finite part's size: m terms fewer.
     n = max(1, _series_terms(am, bm, m + 1.0, w) - m)
     u = v = u_abs = e_abs = 0.0
-    term, k = 1.0, 0.0  # term: u_k w^k
+    term, k, mf = 1.0, 0.0, float(m)  # term: u_k w^k; the loop adds floats alone
     while True:
-        while k < n:
-            size = abs(term)
+        while k < n:  # comparisons, not abs, and single assignments: the cheaper bytecode
+            size = term if term >= 0.0 else -term
             u += term
             v += term * (e1 + e2)
             u_abs += size
-            e_abs += size * (abs(e1) + abs(e2))
-            ak, bk, k1, km1 = am + k, bm + k, k + 1.0, k + m + 1.0
+            e_abs += size * ((e1 if e1 >= 0.0 else -e1) + (e2 if e2 >= 0.0 else -e2))
+            ak = am + k
+            bk = bm + k
+            k1 = k + 1.0
+            km1 = k + mf + 1.0
             e1 += 1.0 / ak - 1.0 / k1
             e2 += 1.0 / bk - 1.0 / km1
             term *= ak * bk * w / (k1 * km1)
@@ -618,10 +620,11 @@ def _connection_with_derivative(a: float, b: float, m: int,
     abs_log_w = abs(log_w)
     n = max(1, _series_terms(am, bm, m + 1.0, w) - m)
     u = v = s = t = u_abs = e_abs = s_abs = t_abs = 0.0
-    term, k = 1.0, 0.0  # term: u_k w^k
+    term, k, mf = 1.0, 0.0, float(m)  # term: u_k w^k; the loop as _connection_2f1's
     while True:
         while k < n:
-            size, spread = abs(term), abs(e1) + abs(e2)
+            size = term if term >= 0.0 else -term
+            spread = (e1 if e1 >= 0.0 else -e1) + (e2 if e2 >= 0.0 else -e2)
             e, k_term = e1 + e2, k * term
             u += term
             v += term * e
@@ -631,7 +634,10 @@ def _connection_with_derivative(a: float, b: float, m: int,
             e_abs += size * spread
             s_abs += k * size
             t_abs += k * size * spread
-            ak, bk, k1, km1 = am + k, bm + k, k + 1.0, k + m + 1.0
+            ak = am + k
+            bk = bm + k
+            k1 = k + 1.0
+            km1 = k + mf + 1.0
             e1 += 1.0 / ak - 1.0 / k1
             e2 += 1.0 / bk - 1.0 / km1
             term *= ak * bk * w / (k1 * km1)
@@ -725,9 +731,10 @@ def gauss_2f1(args: HypArgs) -> EvalResult:
 
 def gauss_value_at_one(a: float, b: float, c: float) -> float:
     """2F1(a, b; c; 1) by Gauss's sum Gamma(c) Gamma(c-a-b) / (Gamma(c-a) Gamma(c-b))
-    (DLMF 15.4.20): signed, 0 at a pole of Gamma(c-a) or Gamma(c-b), read exactly beside
-    one. Requires c - a - b > 0, read as HypArgs.convergent_at_one reads it, and c off the
-    non-positive integers; a = 0 or b = 0 gives 1 as every term past n = 0 vanishes.
+    (DLMF 15.4.20): signed, 0 at a pole of Gamma(c-a) or Gamma(c-b); c-a or c-b below or
+    beside 0 and a gap below 1/2 are read exactly. Requires c - a - b > 0, read as
+    HypArgs.convergent_at_one reads it, and c off the non-positive integers; a = 0 or b = 0
+    gives 1 as every term past n = 0 vanishes.
     """
     return _gauss_sum(a, b, c)[0]
 
@@ -741,9 +748,11 @@ def _gauss_sum(a: float, b: float, c: float) -> tuple[float, float]:
         raise DivergenceError(f"2F1 diverges at z=1 when c-a-b <= 0 (got c-a-b={gap})")
     if _pole(c):
         raise DomainError(f"c must not be a non-positive integer, got c={c}")
-    num, den, scale = [c, c - a - b], [], 1.0
+    # Read exactly where 1/Gamma magnifies rounding: a gap below 1/2, a difference below or near 0.
+    gap = c - a - b if gap >= 0.5 else float(Fraction(c) - Fraction(a) - Fraction(b))
+    num, den, scale = [c, gap], [], 1.0
     for x in (a, b):
-        if (n := _integer_gap(x, 0.0, c)) is not None and n <= 0:  # at or beside a pole
+        if c - x < 0.0 or _integer_gap(x, 0.0, c) == 0:
             scale *= _reflect(Fraction(c) - Fraction(x), num)
         else:
             den.append(c - x)
@@ -768,19 +777,29 @@ def gauss_2f1_with_derivative(args: HypArgs) -> tuple[EvalResult, EvalResult]:
     (ab/c) times gauss_2f1 of the shifted family at the same z and w, which
     raise as gauss_2f1 does.
     """
-    a, b, c, z = args.a, args.b, args.c, args.z
+    w = 1.0 - args.z if args.w is None else args.w
+    value, slope = _gauss_2f1_with_derivative(args.a, args.b, args.c, args.z, w)
+    return EvalResult(*value), EvalResult(*slope)
+
+
+def _gauss_2f1_with_derivative(a: float, b: float, c: float, z: float, w: float
+                               ) -> tuple[tuple[float, float, str], tuple[float, float, str]]:
+    """gauss_2f1_with_derivative of a valid HypArgs(a, b, c, z, w), each result
+    as its (value, err_estimate, method): for callers whose family and
+    arguments are valid by construction."""
     if z <= SERIES_SWITCH:
-        value, slope = _series_with_derivative(a, b, c, z)
-        return EvalResult(*value, METHOD_SERIES), EvalResult(*slope, METHOD_SERIES)
-    w = 1.0 - z if args.w is None else args.w
+        (value, err), (slope, slope_err) = _series_with_derivative(a, b, c, z)
+        return (value, err, METHOD_SERIES), (slope, slope_err, METHOD_SERIES)
     if w > 0.0:
         route, m = _route_above_switch(a, b, c, z)
         if route == METHOD_CONNECTION and m is not None and m >= 0:
-            pair = _connection_with_derivative(a, b, m, w)
-            if all(math.isfinite(value) and err <= _CONNECTION_TRUST * abs(value)
-                   for value, err in pair):
-                return tuple(EvalResult(*result, METHOD_CONNECTION) for result in pair)
-    return gauss_2f1(args), a * b / c * gauss_2f1(HypArgs(a + 1.0, b + 1.0, c + 1.0, z, args.w))
+            (value, err), (slope, slope_err) = _connection_with_derivative(a, b, m, w)
+            if (math.isfinite(value) and err <= _CONNECTION_TRUST * abs(value)
+                    and math.isfinite(slope) and slope_err <= _CONNECTION_TRUST * abs(slope)):
+                return (value, err, route), (slope, slope_err, route)
+    f = gauss_2f1(HypArgs(a, b, c, z, w))
+    d = a * b / c * gauss_2f1(HypArgs(a + 1.0, b + 1.0, c + 1.0, z, w))
+    return (f.value, f.err_estimate, f.method), (d.value, d.err_estimate, d.method)
 
 
 def contiguous_residual(sigma: float, alpha: float, rho: float, z: float) -> float:

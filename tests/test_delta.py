@@ -17,6 +17,7 @@ from pqelliptic import (
     DivergenceError,
     DomainError,
     E_pq,
+    EvalResult,
     H_closed,
     H_def,
     HypArgs,
@@ -186,6 +187,22 @@ class TestDelta:
         scale = DeltaConstants.for_params(params).eta * r ** (params.p - 1.0)
         assert delta_prime_result(params, r) == scale * (
             gauss_2f1(HypArgs(a1, b1, c1, x, w)) + gauss_2f1(HypArgs(a1, b1, c1, w, x)))
+        # The curvature reads the floats of the joint pass's private core: the public
+        # wrapper's results, composed by the same formula, are its reference.
+        f1x, d1x = gauss_2f1_with_derivative(HypArgs(a1, b1, c1, x, w))
+        f1y, d1y = gauss_2f1_with_derivative(HypArgs(a1, b1, c1, w, x))
+        p, to_f2 = params.p, c1 / (a1 * b1)
+        front = (p - 1.0) * r ** (p - 2.0)
+        back = p * r ** (2.0 * p - 2.0) * (a1 * b1 / c1)
+        eta = DeltaConstants.for_params(params).eta
+        f2x, f2y = to_f2 * d1x.value, to_f2 * d1y.value
+        err = eta * (front * (f1x.err_estimate + f1y.err_estimate)
+                     + back * (to_f2 * d1x.err_estimate + to_f2 * d1y.err_estimate))
+        assert delta_second_result(params, r) == EvalResult(
+            eta * (front * (f1x.value + f1y.value) + back * (f2x - f2y)), err,
+            (f1x + f1y + d1x + d1y).method)
+        assert delta_second_sign_variant(params, r) == (
+            eta * (front * (f1x.value - f1y.value) + back * (f2x + f2y)))
 
     def test_subnormal_power_reaches_the_zero_limit(self):
         # r**p = 1e-320 is subnormal; the kernel at 1 - r**p runs on its complement.

@@ -926,6 +926,45 @@ class TestGaussValueAtOne:
             assert float(abs(mpmath.mpf(result.value) - exact)) <= result.err_estimate, (a, b, c)
             checked += 1
 
+    @staticmethod
+    def _error_at_one(a, b, c):
+        """gauss_2f1 at z = 1 and its error against 40-digit mpmath, relative to the value."""
+        result = gauss_2f1(HypArgs(a, b, c, 1.0))
+        with mpmath.workdps(40):
+            exact = mpmath.hyp2f1(mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(c), 1)
+            err = float(abs(mpmath.mpf(result.value) - exact))
+        assert err <= result.err_estimate, (a, b, c)
+        return result, err / abs(float(exact))
+
+    def test_small_gap_is_read_exactly(self):
+        # c - a - b is 1.09995e-12 exactly but 1.09990e-12 in floating point, and
+        # Gamma(gap) magnified that rounding to 5.0e-5 relative.
+        result, rel = self._error_at_one(0.3, 0.7 - 1e-12, 1.0 + 1e-13)
+        assert result.value == pytest.approx(2.341172753e11, rel=1e-9)
+        assert rel <= 1e-14
+
+    @pytest.mark.parametrize("distance", [1e-14, 1e-12, 1e-8])
+    def test_difference_beside_a_negative_pole_is_read_exactly(self, distance):
+        # c - b lies about `distance` past -1, outside _integer_gap's tolerance: the
+        # rounding of its float was magnified 1 / distance times (5.6e-3 relative at 1e-14).
+        a, c = -2.4086215710799745, 0.05285407241974721
+        result, rel = self._error_at_one(a, c + 1.0 - distance, c)
+        assert result.value == pytest.approx(-1.26024e-13 * distance / 1e-14, rel=0.01)
+        assert rel <= 1e-14
+
+    def test_negative_differences_lie_within_their_estimates(self):
+        # c - b negative: between two poles, beside the pole above it or beside the one below.
+        rng = random.Random(20261023)
+        checked = 0
+        while checked < 150:
+            c, a = rng.uniform(-4.0, 4.0), rng.uniform(-6.0, 1.0)
+            near = 10.0 ** rng.uniform(-14.0, -1.0)
+            b = c + rng.randint(0, 3) + rng.choice((rng.random(), near, 1.0 - near))
+            if c - b >= 0.0 or c - a - b < 0.05 or special._pole(c):
+                continue
+            self._error_at_one(a, b, c)
+            checked += 1
+
     def test_c_at_a_pole_is_refused(self):
         # c - a - b = 1 converges, but Gamma(c) = Gamma(-1) is a pole.
         with pytest.raises(DomainError, match="non-positive integer"):

@@ -255,13 +255,12 @@ def _claim_euler_coherence(grid: ScanGrid, tol: float, result: ClaimResult) -> l
     skipped: list[str] = []
     for p, q, params in _grid_params(grid):
         for r in grid.r.points():
-            z = r ** p
-            e = el._complete_args(params, False, z)
-            # a and b swapped (2F1 is symmetric in them): the oracle needs c > b > 0
-            for tag, args in (("K", el._complete_args(params, True, z)),
-                              ("E", HypArgs(e.b, e.a, e.c, z))):
+            x, w = _power_pair(p, r)  # as K_pq and E_pq call gauss_2f1
+            k, e = (el._complete_args(params, first_kind, x, w) for first_kind in (True, False))
+            # E's a and b swapped for the oracle, which needs c > b > 0 (2F1 is symmetric in them)
+            for tag, args, ordered in (("K", k, k), ("E", e, HypArgs(e.b, e.a, e.c, x, w))):
                 try:
-                    oracle = el.euler_integral_oracle(args).value
+                    oracle = el.euler_integral_oracle(ordered).value
                 except DomainError:
                     skipped.append(f"p={p:g}, q={q:g}, r={r:g}, quantity={tag}")
                     continue

@@ -25,7 +25,6 @@ from .special import (
     EvalResult,
     HypArgs,
     gauss_2f1,
-    ln_gamma,
 )
 
 @dataclass(frozen=True)
@@ -195,24 +194,18 @@ def euler_integral_oracle(args: HypArgs) -> EvalResult:
     singularities to about k outside [0, 1] instead of 1 - z. Nested levels of
     9 to 257 nodes stop when two agree to 1e-12 relative or to their rounding
     bound; the estimate is their difference plus that bound. Evaluates
-    1 - z >= EULER_ORACLE_MIN_W and z = 1 when c - a - b > 0 (the beta integral);
-    raises DomainError closer to 1 and where the top level does not converge. It
-    shares no machinery with the series, connection and tanh-sinh routes.
+    1 - z >= EULER_ORACLE_MIN_W; raises DomainError closer to 1, z = 1 included
+    (there 2F1 is Gauss's sum, gauss_value_at_one), and where the top level does
+    not converge. It shares no machinery with the series, connection and
+    tanh-sinh routes.
     """
     a, b, c, z = args.a, args.b, args.c, args.z
     if not c > b > 0.0:
         raise DomainError(f"Euler representation requires c > b > 0, got b={b}, c={c}")
     w = 1.0 - z if args.w is None else args.w
-    if w == 0.0:
-        if not args.convergent_at_one:
-            raise DivergenceError("Euler integral diverges at z=1 when c-a-b <= 0")
-        logs = (ln_gamma(c), ln_gamma(c - a - b), -ln_gamma(c - a), -ln_gamma(c - b))
-        value = math.exp(sum(logs))
-        return EvalResult(value, 16.0 * _EPS * (1.0 + sum(map(abs, logs))) * value,
-                          METHOD_EULER_QUADRATURE)
     if w < EULER_ORACLE_MIN_W:
-        raise DomainError(f"Euler quadrature oracle requires 1 - z >= {EULER_ORACLE_MIN_W:g} "
-                          f"or z = 1, got 1 - z = {w:.3e}")
+        raise DomainError(f"Euler quadrature oracle requires 1 - z >= {EULER_ORACLE_MIN_W:g}, "
+                          f"got 1 - z = {w:.3e}; z = 1 is Gauss's sum, gauss_value_at_one")
     # With t = s / d, d = s + k (1 - s): t**(b-1) (1-t)**(c-b-1) dt = k**(c-b) d**(-c)
     # s**(b-1) (1-s)**(c-b-1) ds and 1 - z t = (w s + k (1 - s)) / d.
     kappa, ac = math.sqrt(w), a - c

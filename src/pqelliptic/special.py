@@ -96,10 +96,6 @@ class HypArgs:
         set_z(self, z)
         set_w(self, w)
 
-    @property
-    def convergent_at_one(self) -> bool:
-        return _gap_at_one(self.a, self.b, self.c) > 0.0
-
 
 def _slot_setters(cls: type) -> tuple:
     """Each field slot's __set__ of a frozen slots dataclass, in field order: an explicit
@@ -125,12 +121,6 @@ def _pole(x: float) -> bool:
     """x is a non-positive integer: a pole of Gamma, and as a or b the end of a
     terminating 2F1 series of degree -x."""
     return x <= 0 and x == math.floor(x)
-
-
-def _gap_at_one(a: float, b: float, c: float) -> float:
-    """c - a - b as it decides convergence at z = 1: the integer gap when there is one."""
-    m = _integer_gap(a, b, c)
-    return c - a - b if m is None else m
 
 
 @dataclass(frozen=True, slots=True)
@@ -387,12 +377,11 @@ def _horner_rounding(a: float, b: float, c: float, z: float, table: array, n: in
     return rounding * magnitude, rounding * slope_magnitude
 
 
-def _euler_2f1(a: float, b: float, c: float, w: float) -> EvalResult | None:
+def _euler_2f1(a: float, b: float, c: float, w: float, m: int | None) -> EvalResult | None:
     """Euler-integral rescue at z = 1 - w, valid when c > b > 0 (or c > a > 0
-    after swap), of the family of m when _integer_gap reads the gap as m
-    (c - b is then a + m); None without such an ordering, when the integrand
-    overflows or when the quadrature does not converge."""
-    m = _integer_gap(a, b, c)
+    after swap), of the family of m when the route rule read the gap as the
+    integer m (c - b is then a + m); None without such an ordering, when the
+    integrand overflows or when the quadrature does not converge."""
     for a, b in ((a, b), (b, a)):
         cb = c - b if m is None else a + m
         if b > 0.0 and cb > 0.0:
@@ -560,28 +549,40 @@ def _reflect(d: Fraction, num: list[float]) -> float:
     return (-1.0) ** n * math.sin(math.pi * float(d - n)) / math.pi
 
 
+def _gauss_ratio(a: float, b: float, c: float) -> tuple[float, float, float]:
+    """g = c - a - b and A = Gamma(c) Gamma(g) / (Gamma(c - a) Gamma(c - b)), Gauss's sum
+    at z = 1 (DLMF 15.4.20) and DLMF 15.8.4's A, with its size as _gamma_ratio gives it.
+    Read exactly where Gamma magnifies rounding: g below 1/2, and through _reflect each
+    c - a or c - b below 0 or within rounding of 0, whose 1/Gamma is 0 at a pole (A and
+    its size are then 0). Needs g off the non-positive integers."""
+    g = c - a - b
+    if g < 0.5:
+        g = float(Fraction(c) - Fraction(a) - Fraction(b))
+    num, den, scale = [c, g], [], 1.0
+    for x in (a, b):
+        if c - x < 0.0 or _integer_gap(x, 0.0, c) == 0:
+            scale *= _reflect(Fraction(c) - Fraction(x), num)
+        else:
+            den.append(c - x)
+    if scale == 0.0:
+        return g, 0.0, 0.0  # lgamma raises at the poles where 1 / Gamma vanishes
+    value, size = _gamma_ratio(tuple(num), tuple(den))
+    return g, scale * value, size
+
+
 def _gap_connection(a: float, b: float, c: float, w: float) -> tuple[float, float]:
     """2F1(a, b; c; 1 - w), 0 < w <= 1/2, for a gap g = c - a - b off the
     integers: A F(a, b; 1 - g; w) + B w^g F(c - a, c - b; 1 + g; w) (DLMF
-    15.8.4), A = Gamma(c) Gamma(g) / (Gamma(c - a) Gamma(c - b)) and
-    B = Gamma(c) Gamma(-g) / (Gamma(a) Gamma(b)). The estimate adds to the
-    series' own the rounding of the gamma ratios and of w^g, and that of g
-    itself as w^g, Gamma(g) and Gamma(-g) feel it: about eps/delta at delta
+    15.8.4), g and A as _gauss_ratio reads them (A is 0 where the Euler transform
+    terminates) and B = Gamma(c) Gamma(-g) / (Gamma(a) Gamma(b)). The estimate
+    adds to the series' own the rounding of the gamma ratios and of w^g, and that
+    of g itself as w^g, Gamma(g) and Gamma(-g) feel it: about eps/delta at delta
     from an integer. Needs a and b off the non-positive integers.
     """
-    g = c - a - b
-    # 1/Gamma(c - x) below 1 by reflection: 0 at a pole, where the Euler transform terminates.
-    num, den, scale = [c, g], [], 1.0
-    for x in (a, b):
-        diff = Fraction(c) - Fraction(x)
-        if diff < 1:
-            scale *= _reflect(diff, num)
-        else:
-            den.append(float(diff))
-    first, first_size = _gamma_ratio(tuple(num), tuple(den))
+    g, first, first_size = _gauss_ratio(a, b, c)
     second, second_size = _gamma_ratio((c, -g), (a, b))
     log_w = math.log(w)
-    first, second = scale * first, second * (w ** g if g * log_w < 709.0 else math.inf)
+    second *= w ** g if g * log_w < 709.0 else math.inf
     value, err = _series_2f1(a, b, 1.0 - g, w)
     value2, err2 = _series_2f1(c - a, c - b, 1.0 + g, w)
     value, value2 = first * value, second * value2
@@ -719,7 +720,7 @@ def gauss_2f1(args: HypArgs) -> EvalResult:
     # Large a, b let the log series cancel, a gap near an integer the two terms
     # of DLMF 15.8.4; the quadrature may then do better.
     if math.isfinite(result.value) and result.err_estimate > _CONNECTION_TRUST * abs(result.value):
-        euler = _euler_2f1(a, b, c, w)
+        euler = _euler_2f1(a, b, c, w, m)
         if euler is not None and euler.err_estimate < result.err_estimate:
             result = euler
     if not math.isfinite(result.value):
@@ -731,37 +732,29 @@ def gauss_2f1(args: HypArgs) -> EvalResult:
 
 def gauss_value_at_one(a: float, b: float, c: float) -> float:
     """2F1(a, b; c; 1) by Gauss's sum Gamma(c) Gamma(c-a-b) / (Gamma(c-a) Gamma(c-b))
-    (DLMF 15.4.20): signed, 0 at a pole of Gamma(c-a) or Gamma(c-b); c-a or c-b below or
-    beside 0 and a gap below 1/2 are read exactly. Requires c - a - b > 0, read as
-    HypArgs.convergent_at_one reads it, and c off the non-positive integers; a = 0 or b = 0
+    (DLMF 15.4.20), read as gauss_2f1 reads DLMF 15.8.4's A: signed, 0 at a pole of
+    Gamma(c-a) or Gamma(c-b); c-a or c-b below or beside 0 and a gap below 1/2 are read
+    exactly. Requires c - a - b > 0 beyond rounding (gauss_2f1's integer-gap tolerance:
+    a gap within it of 0 diverges) and c off the non-positive integers; a = 0 or b = 0
     gives 1 as every term past n = 0 vanishes.
     """
     return _gauss_sum(a, b, c)[0]
 
 
 def _gauss_sum(a: float, b: float, c: float) -> tuple[float, float]:
-    """gauss_value_at_one and a bound on its relative rounding in ulps (0 if exact)."""
+    """gauss_value_at_one and the size of its gamma ratio, which bounds its relative
+    rounding in ulps (0 if exact)."""
     if a == 0.0 or b == 0.0:
         return 1.0, 0.0
-    gap = _gap_at_one(a, b, c)
-    if gap <= 0.0:
-        raise DivergenceError(f"2F1 diverges at z=1 when c-a-b <= 0 (got c-a-b={gap})")
+    if c - a - b <= 0.0 or _integer_gap(a, b, c) == 0:
+        raise DivergenceError(f"2F1 diverges at z=1 when c-a-b <= 0, a gap within rounding "
+                              f"of 0 included (got c-a-b={c - a - b})")
     if _pole(c):
         raise DomainError(f"c must not be a non-positive integer, got c={c}")
-    # Read exactly where 1/Gamma magnifies rounding: a gap below 1/2, a difference below or near 0.
-    gap = c - a - b if gap >= 0.5 else float(Fraction(c) - Fraction(a) - Fraction(b))
-    num, den, scale = [c, gap], [], 1.0
-    for x in (a, b):
-        if c - x < 0.0 or _integer_gap(x, 0.0, c) == 0:
-            scale *= _reflect(Fraction(c) - Fraction(x), num)
-        else:
-            den.append(c - x)
-    if scale == 0.0:
-        return 0.0, 0.0  # 1 / Gamma vanishes at its poles; lgamma raises there
-    value, size = _gamma_ratio(tuple(num), tuple(den))
+    _, value, size = _gauss_ratio(a, b, c)
     if math.isinf(value):
         raise DivergenceError(f"2F1 exceeds the double range at z=1 for a={a}, b={b}, c={c}")
-    return scale * value, size
+    return value, size
 
 
 def gauss_2f1_with_derivative(args: HypArgs) -> tuple[EvalResult, EvalResult]:

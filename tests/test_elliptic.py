@@ -30,7 +30,9 @@ from pqelliptic import (
     legendre_K_agm,
     takeuchi_bridge_residual,
 )
-from pqelliptic import elliptic
+from pqelliptic import claims, elliptic
+from pqelliptic.claims import AxisRange, ScanGrid
+from pqelliptic.gentrig import _power_pair
 
 P22 = PQParams(2.0, 2.0)
 
@@ -227,7 +229,7 @@ class TestEulerOracle:
 
     def test_against_mpmath_over_the_documented_domain(self):
         # Seeded sweep: half the samples with z up to 0.9, half with 1 - z log-uniform
-        # down to the documented limit, and z = 1 wherever c - a - b > 0.
+        # down to the documented limit. z = 1 is refused even where c - a - b > 0.
         rng = random.Random(20)
         limit = elliptic.EULER_ORACLE_MIN_W
         samples = []
@@ -237,7 +239,8 @@ class TestEulerOracle:
                  else 1.0 - 10.0 ** rng.uniform(math.log10(limit), -1.0))
             samples.append((a, b, b + gap, z))
             if gap - a > 0.05:  # c - a - b
-                samples.append((a, b, b + gap, 1.0))
+                with pytest.raises(DomainError, match="gauss_value_at_one"):
+                    euler_integral_oracle(HypArgs(a, b, b + gap, 1.0))
         samples.append((0.5, 0.5, 1.0, 1.0 - limit))
         with mpmath.workdps(30):
             for a, b, c, z in samples:
@@ -256,6 +259,18 @@ class TestEulerOracle:
     def test_refuses_what_its_top_level_does_not_resolve(self):
         with pytest.raises(DomainError, match="did not converge"):
             euler_integral_oracle(HypArgs(0.5, 100.5, 200.0, 0.99))
+
+    def test_coherence_claim_checks_the_calls_the_library_makes(self, monkeypatch):
+        # K_pq and E_pq pass gauss_2f1 their family at x = r**p with its exact
+        # complement w, a and b as given; only the oracle's copy of E's is swapped.
+        calls = []
+        monkeypatch.setattr(claims, "gauss_2f1", lambda args: calls.append(args) or gauss_2f1(args))
+        grid = ScanGrid(AxisRange(1.5, 4.0, 3), AxisRange(1.5, 4.0, 2), AxisRange(0.05, 0.95, 4))
+        result = claims.run_claim("euler.coherence", grid)
+        assert result.status == "pass" and not result.notes  # nothing skipped
+        assert calls == [elliptic._complete_args(PQParams(p, q), first_kind, *_power_pair(p, r))
+                         for p, q in grid.pq_points() for r in grid.r.points()
+                         for first_kind in (True, False)]
 
     def test_package_import_leaves_scipy_unloaded(self):
         # Neither the package nor its Euler-integral oracle needs scipy or numpy.

@@ -332,9 +332,10 @@ class TestConnectionRoute:
         with pytest.raises(DivergenceError):
             gauss_2f1(args)
         with pytest.raises(DivergenceError):
-            euler_integral_oracle(args)
-        with pytest.raises(DivergenceError):
             gauss_value_at_one(args.a, args.b, args.c)
+        # The oracle leaves z = 1 to Gauss's sum.
+        with pytest.raises(DomainError, match="gauss_value_at_one"):
+            euler_integral_oracle(args)
 
     def test_public_gap_near_an_integer(self):
         # A gap within rounding of an integer m is evaluated as the family of
@@ -419,7 +420,9 @@ class TestRouteAboveSwitch:
     def test_euler_route_is_symmetric_in_a_and_b(self):
         # Only c > a > 0 holds for (0.3, 2.5; 1.7), so the rescue swaps a and b
         # into the ordering c > b > 0 that (2.5, 0.3; 1.7) has as given.
-        swapped, given = (special._euler_2f1(a, b, 1.7, 0.05) for a, b in ((0.3, 2.5), (2.5, 0.3)))
+        # The gap -1.1 is no integer: m is None.
+        swapped, given = (special._euler_2f1(a, b, 1.7, 0.05, None)
+                          for a, b in ((0.3, 2.5), (2.5, 0.3)))
         assert swapped == given
         assert given.method == "euler_quadrature"
         with mpmath.workdps(30):
@@ -430,7 +433,7 @@ class TestRouteAboveSwitch:
         # The connection estimate is past 1e-13 relative, so the quadrature
         # is tried; its overflow leaves the connection value.
         args = _OVERFLOW_FAMILY
-        assert special._euler_2f1(args.a, args.b, args.c, args.w) is None
+        assert special._euler_2f1(args.a, args.b, args.c, args.w, 1) is None  # the gap 1
         res = gauss_2f1(args)
         assert res.method == "connection"
         with mpmath.workdps(40):
@@ -546,7 +549,7 @@ class TestEveryGap:
         # rescue, though c > b > 0, does not converge in its 10 levels.
         w = 1.5778187794450053e-08
         args = HypArgs(1.027407505245253, 1.4260744708677207, 1.4534819761138305, 1.0 - w, w)
-        assert special._euler_2f1(args.a, args.b, args.c, w) is None
+        assert special._euler_2f1(args.a, args.b, args.c, w, None) is None
         res = gauss_2f1(args)
         assert res.method == "connection"
         assert res.value == pytest.approx(6.43e7, rel=1e-3)
@@ -964,6 +967,21 @@ class TestGaussValueAtOne:
                 continue
             self._error_at_one(a, b, c)
             checked += 1
+
+    def test_connection_formula_meets_the_sum_as_w_vanishes(self):
+        # At w = 1e-300 DLMF 15.8.4's second term is below an ulp of its first, and
+        # F(a, b; 1 - g; w) = 1: A, read by the same reader, is the sum bit for bit.
+        rng = random.Random(30)
+        families = []
+        for _ in range(400):
+            a, b, g = rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0), rng.uniform(0.1, 0.9)
+            if 0.05 < a + b + g < 6.0:
+                families.append((a, b, a + b + g))
+        assert len(families) == 219
+        for a, b, c in families:
+            result = gauss_2f1(HypArgs(a, b, c, 1.0, 1e-300))
+            assert result.method == "connection", (a, b, c)
+            assert result.value == gauss_value_at_one(a, b, c), (a, b, c)
 
     def test_c_at_a_pole_is_refused(self):
         # c - a - b = 1 converges, but Gamma(c) = Gamma(-1) is a pole.

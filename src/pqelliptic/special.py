@@ -67,9 +67,9 @@ _CONNECTION_TRUST = 1e-13
 class HypArgs:
     """Parameter/argument bundle (a, b; c; z) for the hypergeometric series.
 
-    a, b and c must be finite, c must not be a non-positive integer (poles
-    of the coefficients) and z is restricted to [0, 1]; z = 1 is only
-    evaluable when c - a - b > 0. A caller that knows it passes w, the
+    a, b, c and c - a - b must be finite, c must not be a non-positive
+    integer (poles of the coefficients) and z is restricted to [0, 1]; z = 1
+    is only evaluable when c - a - b > 0. A caller that knows it passes w, the
     complement 1 - z to full relative precision (z may then round to 1
     while w > 0); `gauss_2f1` decides itself whether c - a - b is an integer.
     """
@@ -81,8 +81,9 @@ class HypArgs:
     w: float | None = None
 
     def __init__(self, a: float, b: float, c: float, z: float, w: float | None = None) -> None:
-        if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
-            raise DomainError(f"a, b and c must be finite, got a={a}, b={b}, c={c}")
+        if not math.isfinite(gap := c - a - b):  # a, b or c non-finite, or the gap overflows
+            raise DomainError(f"a, b, c and c - a - b must be finite, got a={a}, b={b}, c={c}, "
+                              f"c - a - b={gap}")
         if _pole(c):
             raise DomainError(f"c must not be a non-positive integer, got c={c}")
         if not 0.0 <= z <= 1.0:

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ from click.testing import CliRunner
 from pqelliptic import cli, delta_analysis
 from pqelliptic.claims import CLAIMS, DEFAULT_GRID, AxisRange, ScanGrid, build_report, run_claim
 from pqelliptic.cli import main
-from pqelliptic.special import DomainError
+from pqelliptic.special import DivergenceError, DomainError
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -308,17 +309,32 @@ class TestVerify:
             "direct route skipped 1 sample(s) with r**p or 1 - r**p < 1e-06, where its "
             "subtraction loses digits, first at p=6, q=2, r=0.05"])
 
-    def test_euler_claim_notes_samples_the_oracle_refuses(self, runner, tmp_path):
-        # At p = 1.5, r = 0.9995 has 1 - r**p = 7.5e-4, below the oracle's 1e-3.
+    def test_legendre_claim_notes_samples_where_r_to_the_p_underflows(self, runner, tmp_path):
+        # At p = 200, r = 0.001 has r**p = 0, where the complementary K is infinite.
         out = tmp_path / "report.json"
-        result = runner.invoke(main, ["verify", "--claims", "euler.coherence", "--p", "1.5",
-                                      "--q", "2", "--grid", "r:0.5:0.9995:3", "--out", str(out)])
+        result = runner.invoke(main, ["verify", "--claims", "legendre.relation", "--p", "200",
+                                      "--q", "2", "--grid", "r:0.001:0.5:2", "--out", str(out)])
         assert result.exit_code == 0
         claim = json.loads(out.read_text())["claims"][0]
-        assert (claim["status"], claim["pass_count"]) == ("pass", 4)
-        assert claim["notes"] == ["Euler quadrature skipped 2 sample(s) it refuses "
-                                  "(1 - r**p < 0.001, or no convergence), first at p=1.5, "
-                                  "q=2, r=0.9995, quantity=K"]
+        assert (claim["status"], claim["pass_count"]) == ("pass", 1)
+        assert claim["notes"] == ["Legendre relation skipped 1 sample(s) where r**p underflows "
+                                  "to 0 or rounds to 1, first at p=200, r=0.001"]
+
+    def test_claim_that_raises_fails_and_the_report_is_written(self, runner, tmp_path,
+                                                                monkeypatch):
+        def raising(grid, tol, result):
+            result.residual(0.0, tol, {"r": 0.5})
+            raise DivergenceError("2F1 diverges")
+
+        monkeypatch.setitem(CLAIMS, "prop1.2", replace(CLAIMS["prop1.2"], fn=raising))
+        out = tmp_path / "report.json"
+        result = runner.invoke(main, ["verify", "--claims", "prop1.2,lemma2.4", "--p", "2",
+                                      "--q", "2", "--out", str(out)])
+        assert result.exit_code == 1
+        raised, after = json.loads(out.read_text())["claims"]
+        assert (raised["status"], raised["pass_count"], raised["notes"]) == (
+            "fail", 1, ["raised DivergenceError: 2F1 diverges"])
+        assert after["status"] == "pass"
 
     def test_lemma23_notes_samples_where_the_argument_rounds_to_one(self, runner, tmp_path):
         # At p = 40, r = 0.3 the proof instantiation's z = 1 - r**p rounds to 1.

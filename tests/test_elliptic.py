@@ -1,7 +1,6 @@
 """First/second-kind integrals, oracles, and the family bridges."""
 
 import math
-import random
 import subprocess
 import sys
 
@@ -16,7 +15,6 @@ from pqelliptic import (
     DomainError,
     E_comp,
     E_pq,
-    HypArgs,
     K_comp,
     K_pq,
     K_theta_integral,
@@ -24,7 +22,6 @@ from pqelliptic import (
     PQParams,
     borwein_E,
     borwein_K,
-    euler_integral_oracle,
     gauss_2f1,
     legendre_E_agm,
     legendre_K_agm,
@@ -32,7 +29,6 @@ from pqelliptic import (
 )
 from pqelliptic import claims, elliptic
 from pqelliptic.claims import AxisRange, ScanGrid
-from pqelliptic.gentrig import _power_pair
 
 P22 = PQParams(2.0, 2.0)
 
@@ -205,85 +201,41 @@ class TestModulus:
             Modulus.for_params(P22, 1.0)
 
 
-class TestEulerOracle:
-    def test_normalization_at_zero(self):
-        res = euler_integral_oracle(HypArgs(0.7, 0.9, 1.6, 0.0))
-        assert res.value == pytest.approx(1.0, abs=1e-12)
-
-    def test_against_series(self):
-        args = HypArgs(0.5, 0.5, 1.0, 0.49)
-        assert abs(euler_integral_oracle(args).value - gauss_2f1(args).value) < 1e-9
-
-    def test_first_kind_consistency(self):
-        params = PQParams(3.0, 2.0)
-        args = HypArgs(params.inv_q, 1.0 - params.inv_p,
-                       1.0 - params.inv_p + params.inv_q, 0.5 ** 3)
-        ratio = K_pq(params, 0.5).value / (0.5 * params.pi_pq)
-        assert abs(euler_integral_oracle(args).value - ratio) < 1e-9
-
-    def test_validity_condition(self):
-        with pytest.raises(DomainError):
-            euler_integral_oracle(HypArgs(0.5, -0.5, 1.0, 0.3))  # b <= 0
-        with pytest.raises(DomainError):
-            euler_integral_oracle(HypArgs(0.5, 2.0, 1.5, 0.3))  # c <= b
-
-    def test_against_mpmath_over_the_documented_domain(self):
-        # Seeded sweep: half the samples with z up to 0.9, half with 1 - z log-uniform
-        # down to the documented limit. z = 1 is refused even where c - a - b > 0.
-        rng = random.Random(20)
-        limit = elliptic.EULER_ORACLE_MIN_W
-        samples = []
-        for i in range(120):
-            a, b, gap = rng.uniform(-3.0, 3.0), rng.uniform(0.05, 3.0), rng.uniform(0.05, 3.0)
-            z = (rng.uniform(0.0, 0.9) if i % 2
-                 else 1.0 - 10.0 ** rng.uniform(math.log10(limit), -1.0))
-            samples.append((a, b, b + gap, z))
-            if gap - a > 0.05:  # c - a - b
-                with pytest.raises(DomainError, match="gauss_value_at_one"):
-                    euler_integral_oracle(HypArgs(a, b, b + gap, 1.0))
-        samples.append((0.5, 0.5, 1.0, 1.0 - limit))
-        with mpmath.workdps(30):
-            for a, b, c, z in samples:
-                res = euler_integral_oracle(HypArgs(a, b, c, z))
-                exact = mpmath.hyp2f1(a, b, c, z)
-                err = float(abs(res.value - exact))
-                assert err <= 1e-13 * float(abs(exact)), (a, b, c, z)
-                assert err <= res.err_estimate, (a, b, c, z)
-
-    def test_refuses_just_past_the_documented_limit(self):
-        w = 0.9 * elliptic.EULER_ORACLE_MIN_W
-        for args in (HypArgs(0.5, 0.5, 1.0, 1.0 - w), HypArgs(0.5, 0.5, 2.0, 1.0, w=1e-17)):
-            with pytest.raises(DomainError, match="requires 1 - z >="):
-                euler_integral_oracle(args)
-
-    def test_refuses_what_its_top_level_does_not_resolve(self):
-        with pytest.raises(DomainError, match="did not converge"):
-            euler_integral_oracle(HypArgs(0.5, 100.5, 200.0, 0.99))
-
-    def test_coherence_claim_checks_the_calls_the_library_makes(self, monkeypatch):
-        # K_pq and E_pq pass gauss_2f1 their family at x = r**p with its exact
-        # complement w, a and b as given; only the oracle's copy of E's is swapped.
+class TestLegendreRelation:
+    def test_claim_calls_the_four_public_integrals(self, monkeypatch):
+        # At q = p, whatever the grid's q axis holds, and at each grid r as given.
         calls = []
-        monkeypatch.setattr(claims, "gauss_2f1", lambda args: calls.append(args) or gauss_2f1(args))
-        grid = ScanGrid(AxisRange(1.5, 4.0, 3), AxisRange(1.5, 4.0, 2), AxisRange(0.05, 0.95, 4))
-        result = claims.run_claim("euler.coherence", grid)
-        assert result.status == "pass" and not result.notes  # nothing skipped
-        assert calls == [elliptic._complete_args(PQParams(p, q), first_kind, *_power_pair(p, r))
-                         for p, q in grid.pq_points() for r in grid.r.points()
-                         for first_kind in (True, False)]
 
+        def recording(name, original):
+            def call(params, r):
+                calls.append((name, params.p, params.q, r))
+                return original(params, r)
+            return call
+
+        for name in ("K_pq", "E_pq", "K_comp", "E_comp"):
+            monkeypatch.setattr(elliptic, name, recording(name, getattr(elliptic, name)))
+        grid = ScanGrid(AxisRange(1.5, 4.0, 3), AxisRange(1.5, 4.0, 2), AxisRange(0.05, 0.95, 4))
+        result = claims.run_claim("legendre.relation", grid)
+        assert result.status == "pass" and not result.notes  # nothing skipped
+        assert result.pass_count == 12
+        assert calls == [(name, p, p, r) for p in grid.p.points() for r in grid.r.points()
+                         for name in ("K_pq", "E_pq", "K_comp", "E_comp")]
+
+
+class TestVerifyWithoutScipy:
     def test_package_import_leaves_scipy_unloaded(self):
-        # Neither the package nor its Euler-integral oracle needs scipy or numpy.
+        # Neither the package nor any claim of the default verify needs scipy or numpy.
         code = ("import sys\n"
                 "from pqelliptic.cli import main\n"
                 "try:\n"
-                "    main(['verify', '--claims', 'euler.coherence', '--p', '2', '--q', '3'])\n"
+                "    main(['verify'])\n"
                 "finally:\n"
                 "    print(sorted({'scipy', 'numpy'} & set(sys.modules)))\n")
         proc = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True, check=False)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.startswith("PASS    euler.coherence")
+        assert proc.stdout.startswith("PASS    lemma2.1")
+        assert "PASS    legendre.relation" in proc.stdout
         assert proc.stdout.splitlines()[-1] == "[]"
 
 

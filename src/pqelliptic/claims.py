@@ -20,12 +20,7 @@ from typing import Iterator
 from . import delta_analysis as d
 from . import elliptic as el
 from .gentrig import PQParams, _power_pair, arcsin_pq, pi_pq, sin_pq
-from .special import (
-    DomainError,
-    contiguous_residual,
-    gauss_2f1,
-    gauss_value_at_one,
-)
+from .special import DomainError, contiguous_residual, gauss_2f1
 
 MAX_ABS_RESIDUAL = "max_abs_residual"
 MIN_MARGIN = "min_margin"
@@ -276,7 +271,7 @@ def _claim_gauss_boundary(grid: ScanGrid, tol: float, result: ClaimResult) -> li
             # second-kind family and kernel family, both convergent at z = 1
             for at_one in (el._complete_args(params, False, 1.0),
                            d._kernel_args(params.inv_q, params.inv_p, 1.0)):
-                limit = gauss_value_at_one(at_one.a, at_one.b, at_one.c)
+                limit = gauss_2f1(at_one).value
                 diffs = [abs(gauss_2f1(replace(at_one, z=z)).value - limit)
                          for z in z_ladder]
                 location = {"p": p, "q": q, "a": at_one.a, "b": at_one.b, "c": at_one.c}
@@ -329,14 +324,6 @@ def _claim_borwein_takeuchi(grid: ScanGrid, tol: float, result: ClaimResult) -> 
             result.residual(res, tol, {"s": s, "r": r})
 
 
-def _claim_delta_antisymmetry(grid: ScanGrid, tol: float, result: ClaimResult) -> list[str] | None:
-    for p, q, params in _grid_params(grid):
-        for r in grid.r.points():
-            comp = el.Modulus.for_params(params, r).r_comp
-            res = abs(d.delta(params, comp) + _shared(d.delta, params, r))
-            result.residual(res, tol, {"p": p, "q": q, "r": r})
-
-
 #: delta.routes skips samples with r**p or 1 - r**p below this: the direct route
 #: (E - (r')**p K) / r**p loses about 1e-16 over the smaller of the two.
 ROUTES_MIN_X = 1e-6
@@ -353,16 +340,6 @@ def _claim_delta_routes(grid: ScanGrid, tol: float, result: ClaimResult) -> list
             result.residual(abs(gap), tol, {"p": p, "q": q, "r": r})
     return _skip_notes("direct route", skipped, f"with r**p or 1 - r**p < {ROUTES_MIN_X:g}, "
                        "where its subtraction loses digits")
-
-
-def _claim_delta_range(grid: ScanGrid, tol: float, result: ClaimResult) -> list[str] | None:
-    for p, q, params in _grid_params(grid):
-        constants = d.DeltaConstants.for_params(params)
-        a, b = params.inv_q, params.inv_p
-        low = d.H_closed(a, b, 0.0) - d.H_closed(a, b, 1.0)
-        high = -low  # a - b = -(b - a) exactly
-        result.residual(abs(low - constants.delta0), tol, {"p": p, "q": q, "end": 0.0})
-        result.residual(abs(high - constants.delta1), tol, {"p": p, "q": q, "end": 1.0})
 
 
 def _claim_derivatives(grid: ScanGrid, tol: float, result: ClaimResult) -> list[str] | None:
@@ -494,12 +471,8 @@ CLAIMS: dict[str, ClaimSpec] = {
                               "hypergeometric form at the shifted modulus r**(q/p)", 1e-7),
     "borwein.takeuchi": ClaimSpec(_claim_borwein_takeuchi, "one-parameter and two-parameter "
                                   "families agree through the p = 2/(2s+1) bridge", 1e-10),
-    "delta.antisymmetry": ClaimSpec(_claim_delta_antisymmetry, "difference function is "
-                                    "antisymmetric under the complement map", 1e-12),
     "delta.routes": ClaimSpec(_claim_delta_routes, "kernel route and direct first/second-kind "
                               "route agree on the interior band", 1e-9),
-    "delta.range": ClaimSpec(_claim_delta_range, "difference-function endpoint limits match the "
-                             "closed-form constants", 1e-10),
     "derivatives": ClaimSpec(_claim_derivatives, "closed-form slope and curvature match central "
                              "finite differences (adjudicates the curvature sign pattern)", 1e-7,
                              skip_note="no admissible (p, q) grid point with r far enough "

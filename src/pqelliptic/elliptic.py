@@ -11,7 +11,6 @@ r**(q/p), see K_theta_integral).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .gentrig import PQParams, _power_pair, sin_pq
 from .quadrature import tanh_sinh_01
@@ -23,26 +22,6 @@ from .special import (
     HypArgs,
     gauss_2f1,
 )
-
-@dataclass(frozen=True)
-class Modulus:
-    """A modulus r in (0, 1) and its complement (1 - r**p)**(1/p), with 1 - r**p exact.
-
-    Both values are stored so that taking the complement is an exact swap,
-    making the involution r -> r' -> r hold to the last bit.
-    """
-
-    r: float
-    r_comp: float
-
-    @classmethod
-    def for_params(cls, params: PQParams, r: float) -> "Modulus":
-        if not 0.0 < r < 1.0:
-            raise DomainError(f"modulus must lie in (0, 1), got r={r}")
-        return cls(r, _power_pair(params.p, r)[1] ** params.inv_p)
-
-    def complement(self) -> "Modulus":
-        return Modulus(self.r_comp, self.r)
 
 
 def K_pq(params: PQParams, r: float) -> EvalResult:

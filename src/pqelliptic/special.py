@@ -587,7 +587,8 @@ def _gap_connection(a: float, b: float, c: float, w: float) -> tuple[float, floa
     value, err = _series_2f1(a, b, 1.0 - g, w)
     value2, err2 = _series_2f1(c - a, c - b, 1.0 + g, w)
     value, value2 = first * value, second * value2
-    g_size = abs(a) + abs(b) + abs(c)  # g's rounding, in ulps
+    # g's rounding, in ulps: below 1/2 _gauss_ratio reads g exactly, to one final rounding.
+    g_size = abs(g) if g < 0.5 else abs(a) + abs(b) + abs(c)
     # A bound on |psi(g)| + |psi(-g)|, the relative change of Gamma(g) and Gamma(-g) with g.
     psi_bound = 2.0 * (1.0 + math.log(2.0 + abs(g)) + 1.0 / abs(g - round(g)))
     rounding = ((24.0 + first_size) * abs(value)
@@ -731,27 +732,18 @@ def gauss_2f1(args: HypArgs) -> EvalResult:
     return result
 
 
-def gauss_value_at_one(a: float, b: float, c: float) -> float:
-    """2F1(a, b; c; 1) by Gauss's sum Gamma(c) Gamma(c-a-b) / (Gamma(c-a) Gamma(c-b))
-    (DLMF 15.4.20), read as gauss_2f1 reads DLMF 15.8.4's A: signed, 0 at a pole of
-    Gamma(c-a) or Gamma(c-b); c-a or c-b below or beside 0 and a gap below 1/2 are read
-    exactly. Requires c - a - b > 0 beyond rounding (gauss_2f1's integer-gap tolerance:
-    a gap within it of 0 diverges) and c off the non-positive integers; a = 0 or b = 0
-    gives 1 as every term past n = 0 vanishes.
-    """
-    return _gauss_sum(a, b, c)[0]
-
-
 def _gauss_sum(a: float, b: float, c: float) -> tuple[float, float]:
-    """gauss_value_at_one and the size of its gamma ratio, which bounds its relative
-    rounding in ulps (0 if exact)."""
+    """2F1(a, b; c; 1) of a valid HypArgs family by Gauss's sum Gamma(c) Gamma(c-a-b) /
+    (Gamma(c-a) Gamma(c-b)) (DLMF 15.4.20), read as _gauss_ratio reads DLMF 15.8.4's A:
+    signed, 0 at a pole of Gamma(c-a) or Gamma(c-b). Requires c - a - b > 0 beyond
+    rounding (a gap within the integer-gap tolerance of 0 diverges); a = 0 or b = 0
+    gives 1. Returns the value and the size of its gamma ratio, which bounds its
+    relative rounding in ulps (0 if exact)."""
     if a == 0.0 or b == 0.0:
         return 1.0, 0.0
     if c - a - b <= 0.0 or _integer_gap(a, b, c) == 0:
         raise DivergenceError(f"2F1 diverges at z=1 when c-a-b <= 0, a gap within rounding "
                               f"of 0 included (got c-a-b={c - a - b})")
-    if _pole(c):
-        raise DomainError(f"c must not be a non-positive integer, got c={c}")
     _, value, size = _gauss_ratio(a, b, c)
     if math.isinf(value):
         raise DivergenceError(f"2F1 exceeds the double range at z=1 for a={a}, b={b}, c={c}")

@@ -377,7 +377,7 @@ class TestVerify:
 
     def test_byte_identical_reports(self, runner, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
-        args = ["verify", "--claims", "lemma2.4,prop1.2,delta.range",
+        args = ["verify", "--claims", "lemma2.4,prop1.2,legendre.relation",
                 "--grid", "p:1.5:3:3,q:1.5:3:3,r:0.1:0.9:5"]
         runner.invoke(main, args + ["--out", str(out1)])
         runner.invoke(main, args + ["--out", str(out2)])

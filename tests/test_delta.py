@@ -70,10 +70,9 @@ class TestKernel:
 
     def test_right_endpoint_drops_second_term(self):
         # at r = 1 only the first series term survives the bracket
-        from pqelliptic import gauss_value_at_one, pi_pq
-
         a, b = 0.35, 0.6
-        expected = pi_pq(1.0 / b, 1.0 / a) / 2.0 * gauss_value_at_one(a, -b, 1.0 + a - b)
+        at_one = gauss_2f1(HypArgs(a, -b, 1.0 + a - b, 1.0)).value
+        expected = pi_pq(1.0 / b, 1.0 / a) / 2.0 * at_one
         assert H_def(a, b, 1.0) == pytest.approx(expected, rel=1e-13)
 
     def test_defining_vs_closed_form_point(self):
@@ -239,6 +238,18 @@ class TestDeltaConstants:
             assert c.delta0 < 0.0 < c.delta1
             assert c.delta1 == -c.delta0
             assert c.beta1 == pytest.approx(-2.0 * c.delta0, rel=1e-15)
+
+    @pytest.mark.parametrize("p, q", [(1.5, 4.0), (2.5, 3.0), (3.7, 1.6), (6.0, 1.2)])
+    def test_endpoint_limits_against_mpmath(self, p, q):
+        # delta0 = H(0) - 1 with H(0) = (1 - 1/p) pi_pq / (2 (1 + 1/q - 1/p)) (Lemma 2.4);
+        # H(0) is near 1, so the subtraction leaves an absolute, not relative, rounding.
+        c = DeltaConstants.for_params(PQParams(p, q))
+        with mpmath.workdps(30):
+            ip, iq = 1 / mpmath.mpf(p), 1 / mpmath.mpf(q)
+            pi = 2 * iq * mpmath.beta(1 - ip, iq)
+            expected = float((1 - ip) * pi / (2 * (1 + iq - ip)) - 1)
+        assert c.delta0 == pytest.approx(expected, abs=1e-14)
+        assert c.delta1 == -c.delta0
 
     def test_built_once_per_pair(self):
         assert DeltaConstants.for_params(PQParams(2.5, 3.0)) is DeltaConstants.for_params(

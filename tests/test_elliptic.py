@@ -6,8 +6,6 @@ import sys
 
 import mpmath
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy import integrate
 
 from pqelliptic import (
@@ -18,7 +16,6 @@ from pqelliptic import (
     K_comp,
     K_pq,
     K_theta_integral,
-    Modulus,
     PQParams,
     borwein_E,
     borwein_K,
@@ -170,35 +167,6 @@ class TestComplements:
         assert E_comp(P22, 1.0).value == E_pq(P22, 0.0).value
         with pytest.raises(DomainError):
             E_comp(P22, 1.5)
-
-
-class TestModulus:
-    def test_involution_is_exact_swap(self):
-        params = PQParams(3.0, 2.0)
-        m = Modulus.for_params(params, 0.37)
-        back = m.complement().complement()
-        assert back.r == m.r
-        assert abs(back.r - 0.37) < 1e-15
-
-    @given(st.floats(1.1, 6.0), st.floats(1.1, 6.0), st.floats(0.01, 0.99))
-    @settings(max_examples=60, deadline=None)
-    def test_complement_in_open_interval(self, p, q, r):
-        m = Modulus.for_params(PQParams(p, q), r)
-        assert 0.0 < m.r_comp < 1.0
-
-    def test_complement_near_one_against_mpmath(self):
-        # 1 - r**p formed in double precision costs 2.5e-11 and 5.1e-12 relative here.
-        for p, r in ((2.0, 1.0 - 1e-10), (3.0, 1.0 - 1e-6)):
-            comp = Modulus.for_params(PQParams(p, 2.0), r).r_comp
-            with mpmath.workdps(40):
-                exact = (1 - mpmath.mpf(r) ** p) ** (1 / mpmath.mpf(p))
-                assert abs(comp - exact) <= 1e-15 * exact, (p, r)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            Modulus.for_params(P22, 0.0)
-        with pytest.raises(DomainError):
-            Modulus.for_params(P22, 1.0)
 
 
 class TestLegendreRelation:

@@ -26,7 +26,6 @@ from pqelliptic import (
     contiguous_residual,
     gauss_2f1,
     gauss_2f1_with_derivative,
-    gauss_value_at_one,
     inc_beta,
     legendre_K_agm,
     ln_gamma,
@@ -219,6 +218,14 @@ class TestGauss2F1:
         with pytest.raises(DomainError, match=r"c - a - b=-inf"):
             gauss_2f1(HypArgs(1e308, 1e308, 0.5, z))
 
+    @pytest.mark.parametrize("a, b, c", [(-1e308, -1e308, 1e308), (-1e308, 0.5, 1e308),
+                                         (math.nan, 0.5, 2.0)])
+    def test_invalid_family_at_one(self, a, b, c):
+        # Gauss's sum of the first two would overflow in its gamma ratio, and a nan is
+        # an invalid input, not a divergence.
+        with pytest.raises(DomainError, match="finite"):
+            gauss_2f1(HypArgs(a, b, c, 1.0))
+
     def test_max_terms_env_override(self, monkeypatch):
         # A series the term cap cuts short is refused, not returned truncated.
         monkeypatch.setattr(special, "MAX_TERMS", 5)
@@ -336,8 +343,6 @@ class TestConnectionRoute:
         assert args.c - args.a - args.b > 0.0
         with pytest.raises(DivergenceError):
             gauss_2f1(args)
-        with pytest.raises(DivergenceError):
-            gauss_value_at_one(args.a, args.b, args.c)
 
     def test_public_gap_near_an_integer(self):
         # A gap within rounding of an integer m is evaluated as the family of
@@ -379,7 +384,8 @@ class TestConnectionRoute:
         res = gauss_2f1(HypArgs(0.5, 0.5, 15.0, 1.0, 1e-20))
         assert res.method == "series"
         assert requests[0] == (0.5, 0.5, 15.0, special._series_terms(0.5, 0.5, 15.0, 1.0) + 1)
-        assert res.value == pytest.approx(gauss_value_at_one(0.5, 0.5, 15.0), rel=1e-14)
+        assert res.value == pytest.approx(gauss_2f1(HypArgs(0.5, 0.5, 15.0, 1.0)).value,
+                                          rel=1e-14)
 
 
 def _shifted(args):
@@ -533,6 +539,17 @@ class TestEveryGap:
         args = HypArgs(1.5667804182802794, 4.629848222832525, 0.6298482228325244, 1.0 - w, w)
         res = gauss_2f1(args)
         assert res.method == "connection"
+        _assert_within_estimate(res, _exact_above_switch(args))
+
+    @pytest.mark.parametrize("a, b, g, w", [(8.5, 9.25, -1.3, 1e-3), (8.5, 9.25, -1.3, 1e-8),
+                                            (20.3, 15.7, 0.3, 1e-8)])
+    def test_exact_gap_is_charged_its_own_rounding(self, a, b, g, w):
+        # g below 1/2 is read exactly, so its rounding is |g| ulps, not |a| + |b| + |c|:
+        # the estimate stays below the rescue threshold and DLMF 15.8.4's value stands.
+        args = HypArgs(a, b, a + b + g, 1.0 - w, w)
+        res = gauss_2f1(args)
+        assert res.method == "connection"
+        assert res.err_estimate <= 1e-13 * abs(res.value)
         _assert_within_estimate(res, _exact_above_switch(args))
 
     def test_difference_rounded_onto_a_pole(self):
@@ -873,36 +890,32 @@ class TestEvalResultArithmetic:
 
 class TestGaussValueAtOne:
     def test_gamma_ratio(self):
-        assert gauss_value_at_one(0.5, 0.5, 2.0) == pytest.approx(4.0 / math.pi, rel=1e-14)
+        # The kernel family (1/q, 1-1/p, 2+1/q-1/p) at p=q=2: Gauss's sum is 4/pi.
+        result = gauss_2f1(HypArgs(0.5, 0.5, 2.0, 1.0))
+        assert result.value == pytest.approx(4.0 / math.pi, rel=1e-14)
+        assert result.method == "gauss_closed_form"
 
     def test_vanishing_parameter(self):
-        assert gauss_value_at_one(0.0, 3.7, 1.2) == 1.0
+        assert gauss_2f1(HypArgs(0.0, 3.7, 1.2, 1.0)).value == 1.0
         # c - a - b = -1, but every term past n = 0 vanishes, as at z < 1.
         assert gauss_2f1(HypArgs(0.0, 2.0, 1.0, 1.0)).value == 1.0
 
-    def test_kernel_endpoint_ingredient(self):
-        # (1/q, 1-1/p, 2+1/q-1/p) at p=q=2 gives the same 4/pi ratio
-        assert gauss_value_at_one(0.5, 0.5, 2.0) == pytest.approx(4.0 / math.pi, rel=1e-14)
-
     def test_divergent(self):
         with pytest.raises(DivergenceError):
-            gauss_value_at_one(1.0, 1.0, 1.5)
+            gauss_2f1(HypArgs(1.0, 1.0, 1.5, 1.0))
 
     @pytest.mark.parametrize("a, b, c", [(-0.5, 0.5, 0.25), (-1.2, -0.3, -0.5)])
     def test_negative_gamma_arguments_give_a_signed_value(self, a, b, c):
         # c - a or c - b (and c) negative: a finite sum, -2.18844 and 0.469141.
         with mpmath.workdps(30):
             exact = float(mpmath.hyp2f1(a, b, c, 1))
-        assert gauss_value_at_one(a, b, c) == pytest.approx(exact, rel=1e-14)
-
-    def test_signed_value_through_gauss_2f1(self):
-        result = gauss_2f1(HypArgs(-0.5, 0.5, 0.25, 1.0))
-        assert result.value == gauss_value_at_one(-0.5, 0.5, 0.25)
+        result = gauss_2f1(HypArgs(a, b, c, 1.0))
+        assert result.value == pytest.approx(exact, rel=1e-14)
         assert result.method == "gauss_closed_form"
 
     def test_pole_of_a_denominator_gamma_gives_zero(self):
         # Gamma(c - a) = Gamma(-1) is a pole, where 1 / Gamma vanishes.
-        assert gauss_value_at_one(2.0, -2.5, 1.0) == 0.0
+        assert gauss_2f1(HypArgs(2.0, -2.5, 1.0, 1.0)).value == 0.0
 
     def test_difference_rounding_onto_a_pole_is_not_a_pole(self):
         # c - b is -1 in floating point, -1 - 2**-54 exactly: Gamma(c - b) is finite.
@@ -910,7 +923,6 @@ class TestGaussValueAtOne:
         b = c + 1.0
         assert c - b == -1.0
         result = gauss_2f1(HypArgs(a, b, c, 1.0))
-        assert result.value == gauss_value_at_one(a, b, c)
         with mpmath.workdps(40):
             exact = mpmath.hyp2f1(mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(c), 1)
         assert float(exact) == pytest.approx(6.9957e-16, rel=1e-4)
@@ -983,19 +995,19 @@ class TestGaussValueAtOne:
         for a, b, c in families:
             result = gauss_2f1(HypArgs(a, b, c, 1.0, 1e-300))
             assert result.method == "connection", (a, b, c)
-            assert result.value == gauss_value_at_one(a, b, c), (a, b, c)
+            assert result.value == gauss_2f1(HypArgs(a, b, c, 1.0)).value, (a, b, c)
 
     def test_c_at_a_pole_is_refused(self):
         # c - a - b = 1 converges, but Gamma(c) = Gamma(-1) is a pole.
         with pytest.raises(DomainError, match="non-positive integer"):
-            gauss_value_at_one(-2.5, 0.5, -1.0)
+            HypArgs(-2.5, 0.5, -1.0, 1.0)
 
     def test_double_range_edge(self):
         # exp(709.09) = 8.99e307 is kept; about 2^1200 is refused, not inf.
-        assert gauss_value_at_one(-511.75, -511.75, 0.5) == pytest.approx(
+        assert gauss_2f1(HypArgs(-511.75, -511.75, 0.5, 1.0)).value == pytest.approx(
             8.98956350187315e307, rel=1e-12)
         with pytest.raises(DivergenceError, match="double range"):
-            gauss_value_at_one(-600.5, -600.5, 0.5)
+            gauss_2f1(HypArgs(-600.5, -600.5, 0.5, 1.0))
 
 
 class TestTanhSinh:
@@ -1177,7 +1189,7 @@ class TestBoundaryConsistency:
         # parameter family with c - a - b = 1, well above the 0.2 guard
         for p, q in ((1.5, 2.0), (2.0, 3.0), (4.0, 1.5)):
             a, b, c = 1.0 / q, 1.0 - 1.0 / p, 2.0 + 1.0 / q - 1.0 / p
-            limit = gauss_value_at_one(a, b, c)
+            limit = gauss_2f1(HypArgs(a, b, c, 1.0)).value
             diffs = [abs(gauss_2f1(HypArgs(a, b, c, z)).value - limit)
                      for z in (1 - 1e-3, 1 - 1e-4, 1 - 1e-5, 1 - 1e-6)]
             assert diffs[-1] < 1e-4
